@@ -58,6 +58,16 @@ void BM_ExprIntervalEval(benchmark::State& state) {
 }
 BENCHMARK(BM_ExprIntervalEval);
 
+void BM_ExprIntervalEvalVar(benchmark::State& state) {
+  // The commonest formula shape: a bare variable (one PushVar instruction).
+  expr::Program p = compile_expr("M.ibw");
+  const Interval slots[] = {{90, 100, true}};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(p.eval_interval(slots));
+  }
+}
+BENCHMARK(BM_ExprIntervalEvalVar);
+
 void BM_TableEval(benchmark::State& state) {
   expr::Program p = compile_expr("table(M.ibw; 0:0, 40:2, 80:6, 120:14, 200:30)");
   double x = 0;
@@ -105,10 +115,38 @@ void BM_ReplayPlanTail(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplayPlanTail);
 
+void BM_ReplayPrunedTail(benchmark::State& state) {
+  // Greedy (worst-case) replay of a Splitter fed the server's full stream:
+  // its CPU condition fails, so every iteration ends in a condition prune.
+  auto inst = domains::media::tiny();
+  auto cp = model::compile(inst->problem, domains::media::scenario('A'));
+  ActionId splitter;
+  for (std::uint32_t i = 0; i < cp.actions.size(); ++i) {
+    const model::GroundAction& a = cp.actions[i];
+    if (a.kind == model::ActionKind::Place && a.node == inst->server &&
+        cp.domain->component_at(a.spec_index).name == "Splitter") {
+      splitter = ActionId(i);
+      break;
+    }
+  }
+  core::Replayer replayer(cp);
+  const ActionId tail[] = {splitter};
+  if (!splitter.valid() ||
+      replayer.replay(tail, /*from_init=*/true, core::ReplayMode::WorstCase)) {
+    state.SkipWithError("expected a pruning Splitter tail");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        replayer.replay(tail, /*from_init=*/true, core::ReplayMode::WorstCase));
+  }
+}
+BENCHMARK(BM_ReplayPrunedTail);
+
 void BM_PlrgBuild(benchmark::State& state) {
   auto inst = domains::media::large();
   auto cp = model::compile(inst->problem, domains::media::scenario('C'));
-  const core::CostFn cost = [&cp](ActionId a) { return cp.actions[a.index()].cost_lb; };
+  const std::vector<double> cost = core::action_costs(cp, /*unit=*/false);
   for (auto _ : state) {
     core::Plrg plrg(cp, cost);
     plrg.build(cp.goal_prop);

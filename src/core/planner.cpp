@@ -105,9 +105,8 @@ PlanResult Sekitei::plan(const std::function<bool(const Plan&)>& validate) {
   trace::Span plan_span("planner.plan");
   Stopwatch watch;
 
-  const CostFn cost = options_.mode == PlannerOptions::Mode::Greedy
-                          ? CostFn([](ActionId) { return 1.0; })
-                          : CostFn([this](ActionId a) { return cp_.actions[a.index()].cost_lb; });
+  const std::vector<double> cost =
+      action_costs(cp_, /*unit=*/options_.mode == PlannerOptions::Mode::Greedy);
 
   // Phase 1: per-proposition logical regression graph (all goals at once).
   Plrg plrg(cp_, cost, options_.stop);

@@ -8,8 +8,23 @@
 
 namespace sekitei::core {
 
-Plrg::Plrg(const model::CompiledProblem& cp, CostFn cost, StopToken stop)
-    : cp_(cp), cost_fn_(std::move(cost)), stop_(std::move(stop)) {}
+std::vector<double> action_costs(const model::CompiledProblem& cp, bool unit) {
+  std::vector<double> out(cp.actions.size(), 1.0);
+  if (!unit) {
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = cp.actions[i].cost_lb;
+  }
+  return out;
+}
+
+Plrg::Plrg(const model::CompiledProblem& cp, std::span<const double> cost, StopToken stop)
+    : cp_(cp), cost_(cost), stop_(std::move(stop)) {}
+
+Plrg::Plrg(const model::CompiledProblem& cp, const CostFn& cost, StopToken stop)
+    : cp_(cp), stop_(std::move(stop)) {
+  owned_cost_.resize(cp.actions.size());
+  for (std::uint32_t i = 0; i < owned_cost_.size(); ++i) owned_cost_[i] = cost(ActionId(i));
+  cost_ = owned_cost_;
+}
 
 void Plrg::build(PropId goal) {
   const PropId goals[] = {goal};
@@ -69,7 +84,7 @@ void Plrg::build(std::span<const PropId> goals) {
         if (pre_max == kInf) break;
       }
       if (pre_max == kInf) continue;
-      const double through = cost_fn_(a) + pre_max;
+      const double through = cost_[a.index()] + pre_max;
       // Update every proposition this action supports: its direct effects
       // plus the degradable/upgradable level closure.
       for (PropId e : act.eff) {

@@ -22,16 +22,25 @@
 
 namespace sekitei::core {
 
-/// Per-action cost accessor; lets the greedy baseline run the same machinery
-/// with uniform (plan-length) costs.
+/// Per-action cost accessor, for callers that build a Plrg on their own.
 using CostFn = std::function<double(ActionId)>;
+
+/// Per-action cost table, indexed by ActionId: each action's leveled cost
+/// lower bound, or 1.0 everywhere for the greedy baseline's plan-length
+/// costs (`unit`).  Built once per plan() and shared by PLRG, SLRG and RG.
+[[nodiscard]] std::vector<double> action_costs(const model::CompiledProblem& cp, bool unit);
 
 class Plrg {
  public:
-  /// `stop` (optional) is polled between fixpoint sweeps and every 1024
-  /// relevance expansions; on stop, build() returns with whatever subgraph
-  /// and cost bounds exist so far (the caller is expected to abort planning).
-  Plrg(const model::CompiledProblem& cp, CostFn cost, StopToken stop = {});
+  /// `cost` is indexed by ActionId and must outlive the Plrg.  `stop`
+  /// (optional) is polled between fixpoint sweeps and every 1024 relevance
+  /// expansions; on stop, build() returns with whatever subgraph and cost
+  /// bounds exist so far (the caller is expected to abort planning).
+  Plrg(const model::CompiledProblem& cp, std::span<const double> cost, StopToken stop = {});
+  /// Tabulates `cost` once per action and owns the table.
+  Plrg(const model::CompiledProblem& cp, const CostFn& cost, StopToken stop = {});
+  Plrg(const Plrg&) = delete;
+  Plrg& operator=(const Plrg&) = delete;
 
   /// Expands backwards from `goal` and computes the cost fixpoint.
   void build(PropId goal);
@@ -59,7 +68,8 @@ class Plrg {
 
  private:
   const model::CompiledProblem& cp_;
-  CostFn cost_fn_;
+  std::vector<double> owned_cost_;  // filled only by the CostFn constructor
+  std::span<const double> cost_;
   StopToken stop_;
   std::vector<double> prop_cost_;    // by PropId; +inf = unreachable
   std::vector<bool> prop_seen_;      // relevance marks

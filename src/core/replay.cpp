@@ -1,165 +1,25 @@
 #include "core/replay.hpp"
 
-#include <algorithm>
-
-#include "support/error.hpp"
 #include "support/fault.hpp"
 #include "support/log.hpp"
 
 namespace sekitei::core {
 
-using model::GroundAction;
-using model::SlotRole;
-using spec::LevelTag;
-
 bool Replayer::replay(std::span<const ActionId> steps, bool from_init, ReplayMode mode) {
-  ++calls_;
-  failure_.clear();
   // Fault point on the acceptance replays only (from_init == true, the
   // validation of a complete candidate plan): Fail mode reports a replay
   // failure — the search prunes the candidate and keeps going — while Throw
   // mode propagates to the caller's error path.
   if (from_init && SEKITEI_FAULT_POINT("replay.validate")) {
-    failure_ = "injected fault at replay.validate";
-    return false;
+    return replay_.reject("injected fault at replay.validate");
   }
-  map_.reset(cp_.vars.size());
-  if (from_init) {
-    for (const model::InitMapEntry& e : cp_.init_map) {
-      Interval v = e.value;
-      if (mode == ReplayMode::WorstCase && !v.is_point() && v.hi != kInf) {
-        // Greedy maximum-utilization assumption (Section 2.2): the planner
-        // "considers the maximum possible utilization of a resource".
-        v = Interval::point(v.sup_value());
-      }
-      map_.set(e.var, v);
-    }
-  }
-  for (ActionId a : steps) {
-    if (!step(cp_.actions[a.index()], mode)) {
-      // Trace-level because this is the RG's *normal* pruning mechanism,
-      // not an anomaly; the level gate keeps the hot path at one load.
-      SEKITEI_LOG_TRACE("core.replay", "tail pruned", log::kv("action", cp_.describe(a)),
-                        log::kv("reason", failure_), log::kv("steps", steps.size()));
-      return false;
-    }
-  }
-  return true;
-}
-
-bool Replayer::step(const GroundAction& act, ReplayMode mode) {
-  const model::CompiledSemantics& sem = *act.sem;
-  const std::size_t n = act.slot_vars.size();
-
-  // 1. Merge the action's optimistic intervals into the running map.
-  for (std::size_t s = 0; s < n; ++s) {
-    const VarId var = act.slot_vars[s];
-    const Interval req = act.slot_opt[s];
-    if (!map_.has(var)) {
-      // Greedy maximum-utilization assumption: a value not yet produced by
-      // the tail is taken at its worst (largest) case, so e.g. a Splitter
-      // whose input is unbounded certainly violates its CPU condition —
-      // precisely why the greedy planner cannot handle Scenario 1.
-      const bool collapse = mode == ReplayMode::WorstCase && sem.roles[s] != SlotRole::Output;
-      map_.set(var, collapse ? Interval::point(req.sup_value()) : req);
-      continue;
-    }
-    const Interval cur = map_.get(var);
-    Interval merged;
-    // The degradable/upgradable shift is level reasoning (Section 3.1) and
-    // only exists in the leveled planner; the greedy baseline intersects.
-    const bool leveled = mode == ReplayMode::Optimistic;
-    if (leveled && sem.roles[s] == SlotRole::Input && sem.tags[s] == LevelTag::Degradable) {
-      // A degradable stream produced above the required interval can be
-      // consumed at the lower level: shift down as long as the producer can
-      // attainably reach req.lo.
-      if (cur.hi < req.lo || (cur.hi == req.lo && cur.hi_open && req.lo > 0)) {
-        failure_ = "degradable input below required level";
-        return false;
-      }
-      merged.lo = req.lo;
-      detail::min_upper(cur, req, merged.hi, merged.hi_open);
-    } else if (leveled && sem.roles[s] == SlotRole::Input &&
-               sem.tags[s] == LevelTag::Upgradable) {
-      if (cur.lo > req.hi || (cur.lo == req.hi && req.hi_open)) {
-        failure_ = "upgradable input above required level";
-        return false;
-      }
-      merged = {std::max(cur.lo, req.lo), req.hi, req.hi_open};
-    } else {
-      merged = intersect(cur, req);
-    }
-    if (merged.is_empty()) {
-      failure_ = "optimistic interval intersection empty";
-      return false;
-    }
-    map_.set(var, merged);
-  }
-
-  // Gather the slot view of the map.
-  if (scratch_.size() < n) scratch_.resize(n);
-  for (std::size_t s = 0; s < n; ++s) scratch_[s] = map_.get(act.slot_vars[s]);
-  const std::span<Interval> slots(scratch_.data(), n);
-
-  // 2. Conditions: prune unsatisfiable branches; narrow single-variable
-  //    sides (a necessary-condition cut, hence sound).
-  for (const expr::CompiledCondition& cond : sem.conditions) {
-    const bool ok = mode == ReplayMode::WorstCase ? cond.certain(slots) : cond.satisfiable(slots);
-    if (!ok) {
-      failure_ = "condition failed: " + cond.source;
-      return false;
-    }
-    const std::uint32_t ls = cond.lhs.single_var_slot();
-    const std::uint32_t rs = cond.rhs.single_var_slot();
-    if (ls == UINT32_MAX && rs == UINT32_MAX) continue;
-    const Interval lv = cond.lhs.eval_interval(slots);
-    const Interval rv = cond.rhs.eval_interval(slots);
-    auto narrow = [&](std::uint32_t slot, Interval bound) -> bool {
-      const Interval nv = intersect(slots[slot], bound);
-      if (nv.is_empty()) {
-        failure_ = "narrowing emptied interval: " + cond.source;
-        return false;
-      }
-      slots[slot] = nv;
-      map_.set(act.slot_vars[slot], nv);
-      return true;
-    };
-    switch (cond.op) {
-      case expr::CmpOp::Ge:
-      case expr::CmpOp::Gt:
-        if (ls != UINT32_MAX && !narrow(ls, {rv.lo, kInf})) return false;
-        if (rs != UINT32_MAX && !narrow(rs, {-kInf, lv.hi, lv.hi_open})) return false;
-        break;
-      case expr::CmpOp::Le:
-      case expr::CmpOp::Lt:
-        if (ls != UINT32_MAX && !narrow(ls, {-kInf, rv.hi, rv.hi_open})) return false;
-        if (rs != UINT32_MAX && !narrow(rs, {lv.lo, kInf})) return false;
-        break;
-      case expr::CmpOp::Eq:
-        if (ls != UINT32_MAX && !narrow(ls, rv)) return false;
-        if (rs != UINT32_MAX && !narrow(rs, lv)) return false;
-        break;
-      case expr::CmpOp::Ne:
-        break;  // no useful interval cut
-    }
-  }
-
-  // 3. Effects: sequential interval execution, then write-back.  Produced
-  //    outputs must stay inside their asserted level.
-  for (const expr::CompiledEffect& eff : sem.effects) {
-    eff.apply_interval(slots);
-    Interval v = slots[eff.target];
-    if (sem.roles[eff.target] == SlotRole::Output) {
-      v = intersect(v, act.slot_opt[eff.target]);
-      if (v.is_empty()) {
-        failure_ = "produced value misses asserted level: " + eff.source;
-        return false;
-      }
-      slots[eff.target] = v;
-    }
-    map_.set(act.slot_vars[eff.target], v);
-  }
-  return true;
+  if (replay_.run(steps, from_init, mode)) return true;
+  // Trace-level because this is the RG's *normal* pruning mechanism, not an
+  // anomaly; the level gate keeps the hot path at one load.
+  SEKITEI_LOG_TRACE("core.replay", "tail pruned",
+                    log::kv("action", cp_.describe(replay_.prune().action)),
+                    log::kv("reason", replay_.failure()), log::kv("steps", steps.size()));
+  return false;
 }
 
 }  // namespace sekitei::core

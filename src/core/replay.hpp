@@ -1,66 +1,31 @@
-// Optimistic resource-map replay (Section 3.2.3, Fig. 8).
+// Optimistic resource-map replay of RG plan tails (Section 3.2.3, Fig. 8).
 //
 // "Whenever a new node is created by regressing the current cheapest node
 //  over an action, the plan tail including this action is replayed in the
-//  optimistic map of this action. [...] Before execution of each subsequent
-//  action in the plan tail, the interval produced by execution of the
-//  previous action is intersected with the optimistic interval of the
-//  current action, and new optimistic intervals are added if necessary."
+//  optimistic map of this action."
 //
-// The replayer executes a plan tail over a map VarId -> Interval:
-//   1. merge each action slot's optimistic interval into the map
-//      (degradable/upgradable inputs may shift the interval downward/upward
-//      instead of strictly intersecting),
-//   2. check that every condition is satisfiable (Optimistic mode) or holds
-//      for every value (WorstCase mode — the original greedy Sekitei), and
-//      narrow single-variable sides,
-//   3. apply the effects by interval arithmetic and assert produced output
-//      levels.
-// Any empty interval / failed condition prunes the branch.
+// The replay step itself (merge, condition check and narrowing, effects)
+// lives in model/interval_replay.hpp, below both search backends: RG replay
+// here and CP propagation (cp/propagate.hpp) run the same code, so they
+// accept exactly the same tails.  The Replayer adds what only the RG needs:
+// the `replay.validate` fault point on acceptance replays and a trace-level
+// record of each prune.
 #pragma once
 
 #include <span>
 #include <string>
-#include <vector>
 
 #include "model/compile.hpp"
-#include "support/interval.hpp"
+#include "model/interval_replay.hpp"
 
 namespace sekitei::core {
 
-enum class ReplayMode : unsigned char {
-  Optimistic,  // leveled planner: conditions must be satisfiable
-  WorstCase,   // greedy baseline: initial choices collapse to their maximum
-               // and conditions must hold with certainty
-};
-
-/// Dense VarId -> Interval map with O(1) epoch-based clearing, so replays do
-/// not allocate.
-class ResourceMap {
- public:
-  void reset(std::size_t var_count) {
-    if (vals_.size() < var_count) {
-      vals_.resize(var_count);
-      epoch_.resize(var_count, 0);
-    }
-    ++cur_;
-  }
-  [[nodiscard]] bool has(VarId v) const { return epoch_[v.index()] == cur_; }
-  [[nodiscard]] Interval get(VarId v) const { return vals_[v.index()]; }
-  void set(VarId v, Interval iv) {
-    vals_[v.index()] = iv;
-    epoch_[v.index()] = cur_;
-  }
-
- private:
-  std::vector<Interval> vals_;
-  std::vector<std::uint32_t> epoch_;
-  std::uint32_t cur_ = 0;
-};
+using model::ReplayMode;
+using model::ResourceMap;
 
 class Replayer {
  public:
-  explicit Replayer(const model::CompiledProblem& cp) : cp_(cp) {}
+  explicit Replayer(const model::CompiledProblem& cp) : cp_(cp), replay_(cp) {}
 
   /// Replays `steps` (execution order).  `from_init` preloads the initial
   /// resource map — the final acceptance check ("the plan tail successfully
@@ -69,23 +34,19 @@ class Replayer {
   [[nodiscard]] bool replay(std::span<const ActionId> steps, bool from_init, ReplayMode mode);
 
   /// The map after the last successful replay (for inspection/tests).
-  [[nodiscard]] const ResourceMap& map() const { return map_; }
+  [[nodiscard]] const ResourceMap& map() const { return replay_.map(); }
 
-  /// Why the last replay failed (empty when it succeeded).
-  [[nodiscard]] const std::string& failure() const { return failure_; }
+  /// Why the last replay failed (empty when it succeeded); formatted on
+  /// demand from the recorded prune.
+  [[nodiscard]] std::string failure() const { return replay_.failure(); }
 
   /// Total replay() invocations over this replayer's lifetime — the RG's
   /// dominant inner-loop work item, folded into PlannerStats::replay_calls.
-  [[nodiscard]] std::uint64_t calls() const { return calls_; }
+  [[nodiscard]] std::uint64_t calls() const { return replay_.calls(); }
 
  private:
-  [[nodiscard]] bool step(const model::GroundAction& act, ReplayMode mode);
-
   const model::CompiledProblem& cp_;
-  ResourceMap map_;
-  std::vector<Interval> scratch_;
-  std::string failure_;
-  std::uint64_t calls_ = 0;
+  model::IntervalReplay replay_;
 };
 
 }  // namespace sekitei::core

@@ -9,8 +9,9 @@
 
 namespace sekitei::core {
 
-Rg::Rg(const model::CompiledProblem& cp, Slrg& slrg, const Plrg& plrg, CostFn cost)
-    : cp_(cp), slrg_(slrg), plrg_(plrg), cost_fn_(std::move(cost)) {}
+Rg::Rg(const model::CompiledProblem& cp, Slrg& slrg, const Plrg& plrg,
+       std::span<const double> cost)
+    : cp_(cp), slrg_(slrg), plrg_(plrg), cost_(cost) {}
 
 bool Rg::independent(ActionId a, ActionId b) {
   if (sorted_vars_.empty()) sorted_vars_.resize(cp_.actions.size());
@@ -37,14 +38,12 @@ bool Rg::independent(ActionId a, ActionId b) {
   return true;
 }
 
-std::vector<ActionId> Rg::tail_of(std::uint32_t idx) const {
-  std::vector<ActionId> steps;
-  std::uint32_t cur = idx;
-  while (pool_[cur].action.valid()) {
-    steps.push_back(pool_[cur].action);
-    cur = pool_[cur].parent;
+void Rg::append_tail(std::uint32_t idx, std::vector<ActionId>& out) const {
+  // Walking up from the node yields the deepest action first, which is
+  // execution order.
+  for (std::uint32_t cur = idx; pool_[cur].action.valid(); cur = pool_[cur].parent) {
+    out.push_back(pool_[cur].action);
   }
-  return steps;  // deepest node's action first == execution order
 }
 
 std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Options& options,
@@ -61,6 +60,12 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
   std::priority_queue<Open> open;
   Replayer replayer(cp_);
   pool_.clear();
+  // Buffers reused across expansions, so the hot loop allocates only the
+  // children's proposition sets.  `tail` holds a child's tail: the child's
+  // action in tail[0], then the expanded node's tail.
+  std::vector<ActionId> tail;
+  std::vector<ActionId> cands;
+  std::vector<char> used;
 
   pool_.push_back(Node{ActionId{}, 0, goal_set, 0.0});
   open.push({slrg_.estimate(goal_set), 0.0, 0});
@@ -123,13 +128,17 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
       }
     }
 
+    // This node's tail, after a slot for each child's action.
+    tail.assign(1, ActionId{});
+    append_tail(cur.node, tail);
+    const auto cur_tail = std::span<const ActionId>(tail).subspan(1);
+
     // Goal test: all propositions hold initially and the tail executes in
     // the initial-state resource map.
     if (sorted_subset(nd.state, cp_.init_props)) {
-      std::vector<ActionId> steps = tail_of(cur.node);
-      if (replayer.replay(steps, /*from_init=*/true, options.replay_mode)) {
+      if (replayer.replay(cur_tail, /*from_init=*/true, options.replay_mode)) {
         Plan plan;
-        plan.steps = std::move(steps);
+        plan.steps.assign(cur_tail.begin(), cur_tail.end());
         plan.cost_lb = cur.g;
         bool accepted = true;
         if (validate) {
@@ -157,12 +166,11 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
     // transposition of two *unused* interchangeable twins fixes this whole
     // search node, so only the smallest unused twin needs to be introduced.
     const bool sym = options.symmetry_pruning && cp_.symmetric_class_count > 0;
-    std::vector<char> used;
     if (sym) {
       used.assign(cp_.net->node_count(), 0);
       for (PropId p : nd.state) used[cp_.props.key(p).node] = 1;
-      for (std::uint32_t w = cur.node; pool_[w].action.valid(); w = pool_[w].parent) {
-        const model::GroundAction& act = cp_.actions[pool_[w].action.index()];
+      for (ActionId t : cur_tail) {
+        const model::GroundAction& act = cp_.actions[t.index()];
         if (act.node.valid()) used[act.node.index()] = 1;
         if (act.node2.valid()) used[act.node2.index()] = 1;
       }
@@ -180,7 +188,7 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
     };
 
     // Candidate actions: achievers of any unsatisfied proposition.
-    std::vector<ActionId> cands;
+    cands.clear();
     for (PropId p : nd.state) {
       if (cp_.init_holds(p)) continue;
       for (ActionId a : cp_.achievers_of(p)) {
@@ -204,15 +212,9 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
           continue;
         }
       }
-      if (options.forbid_repeated_actions) {
-        bool seen = false;
-        for (std::uint32_t w = cur.node; pool_[w].action.valid(); w = pool_[w].parent) {
-          if (pool_[w].action == a) {
-            seen = true;
-            break;
-          }
-        }
-        if (seen) continue;
+      if (options.forbid_repeated_actions &&
+          std::find(cur_tail.begin(), cur_tail.end(), a) != cur_tail.end()) {
+        continue;
       }
       std::vector<PropId> nxt = regress_set(cp_, pool_[cur.node].state, a);
       if (nxt == pool_[cur.node].state) continue;
@@ -222,8 +224,8 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
       // Replay the extended tail in the optimistic maps (Fig. 8); prune on
       // resource failure.
       const std::uint32_t child = static_cast<std::uint32_t>(pool_.size());
-      pool_.push_back(Node{a, cur.node, std::move(nxt), cur.g + cost_fn_(a)});
-      const std::vector<ActionId> tail = tail_of(child);
+      pool_.push_back(Node{a, cur.node, std::move(nxt), cur.g + cost_[a.index()]});
+      tail[0] = a;
       if (!replayer.replay(tail, /*from_init=*/false, options.replay_mode)) {
         ++stats.rg_pruned_by_replay;
         pool_.pop_back();
@@ -266,7 +268,8 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
   // Search cut short with an incumbent in hand: return it (guard-replayed
   // once more from the initial state) instead of discarding a feasible plan.
   if (incumbent.have && (stats.stopped || stats.hit_search_limit)) {
-    std::vector<ActionId> steps = tail_of(incumbent.node);
+    std::vector<ActionId> steps;
+    append_tail(incumbent.node, steps);
     if (replayer.replay(steps, /*from_init=*/true, options.replay_mode)) {
       stats.replay_calls = replayer.calls();
       stats.suboptimal_on_stop = true;

@@ -73,7 +73,10 @@ class Rg {
   /// initial state; returning false rejects it and resumes the search.
   using Validator = std::function<bool(const Plan&)>;
 
-  Rg(const model::CompiledProblem& cp, Slrg& slrg, const Plrg& plrg, CostFn cost);
+  /// `cost` is the per-action cost table (action_costs()); it must outlive
+  /// the Rg.
+  Rg(const model::CompiledProblem& cp, Slrg& slrg, const Plrg& plrg,
+     std::span<const double> cost);
 
   [[nodiscard]] std::optional<Plan> search(const std::vector<PropId>& goal_set,
                                            const Options& options, const Validator& validate,
@@ -87,8 +90,9 @@ class Rg {
     double g = 0.0;
   };
 
-  /// Tail of node `idx` in execution order (deepest action first).
-  [[nodiscard]] std::vector<ActionId> tail_of(std::uint32_t idx) const;
+  /// Appends the tail of node `idx` to `out` in execution order (deepest
+  /// action first).
+  void append_tail(std::uint32_t idx, std::vector<ActionId>& out) const;
 
   /// True when `a` (executing immediately before `b`) commutes with `b`:
   /// disjoint located variables and no logical support either way.
@@ -97,7 +101,7 @@ class Rg {
   const model::CompiledProblem& cp_;
   Slrg& slrg_;
   const Plrg& plrg_;
-  CostFn cost_fn_;
+  std::span<const double> cost_;
   std::vector<Node> pool_;
   std::vector<std::vector<VarId>> sorted_vars_;  // per action, lazily filled
 };

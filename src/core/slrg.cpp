@@ -33,9 +33,9 @@ std::vector<PropId> regress_set(const model::CompiledProblem& cp,
   return out;
 }
 
-Slrg::Slrg(const model::CompiledProblem& cp, const Plrg& plrg, CostFn cost, Limits limits,
-           StopToken stop)
-    : cp_(cp), plrg_(plrg), cost_fn_(std::move(cost)), limits_(limits), stop_(std::move(stop)) {}
+Slrg::Slrg(const model::CompiledProblem& cp, const Plrg& plrg, std::span<const double> cost,
+           Limits limits, StopToken stop)
+    : cp_(cp), plrg_(plrg), cost_(cost), limits_(limits), stop_(std::move(stop)) {}
 
 void Slrg::harvest(std::unordered_map<std::vector<PropId>, double, SetHash>& best_g,
                    double query_result) {
@@ -181,7 +181,7 @@ double Slrg::estimate(const std::vector<PropId>& set) {
       }
       std::vector<PropId> nxt = regress_set(cp_, cur_props, a);
       if (nxt == cur_props) continue;
-      const double g = cur.g + cost_fn_(a);
+      const double g = cur.g + cost_[a.index()];
       double h;
       if (auto it = exact_.find(nxt); it != exact_.end()) {
         h = it->second;  // reuse earlier oracle results

@@ -53,7 +53,9 @@ class Slrg {
   /// `stop` (optional) is polled every 1024 generated set nodes; a stopped
   /// query ends like a budget-exhausted one — it returns the admissible
   /// frontier bound so the caller's search stays sound while it winds down.
-  Slrg(const model::CompiledProblem& cp, const Plrg& plrg, CostFn cost,
+  /// `cost` is the per-action cost table (action_costs()); it must outlive
+  /// the Slrg.
+  Slrg(const model::CompiledProblem& cp, const Plrg& plrg, std::span<const double> cost,
        Limits limits = Limits{}, StopToken stop = {});
 
   /// Exact minimal logical cost of achieving `set` from the initial state;
@@ -91,7 +93,7 @@ class Slrg {
 
   const model::CompiledProblem& cp_;
   const Plrg& plrg_;
-  CostFn cost_fn_;
+  std::span<const double> cost_;
   Limits limits_;
   StopToken stop_;
   std::unordered_map<std::vector<PropId>, double, SetHash> exact_;

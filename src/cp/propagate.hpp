@@ -3,77 +3,47 @@
 // The branch-and-bound search commits to a plan tail (a sequence of leveled
 // ground actions, execution order) and asks whether the induced constraint
 // store is consistent: every slot interval non-empty, every condition
-// satisfiable, every produced output inside its asserted level.  The store is
-// exactly the paper's *optimistic resource map* (Section 3.2.3, Fig. 8), so
-// the propagator mirrors the RG replayer's Optimistic mode step for step —
-// degradable inputs may shift down, upgradable inputs may shift up, and
-// single-variable condition sides are narrowed (an arc-consistency cut).
-// Keeping the semantics identical is what makes CP usable as an *optimality*
-// oracle for RG: both backends accept precisely the same tails at the same
-// costs, they only search the space differently.
+// satisfiable, every produced output inside its asserted level.  That store
+// is the paper's *optimistic resource map* (Section 3.2.3, Fig. 8), so
+// propagation is the RG's Optimistic replay: both backends call the one
+// interval replay step in model/interval_replay.hpp and accept exactly the
+// same tails at the same costs; they only search the space differently.
 //
-// Deliberately independent of src/core (the cp library sits below it);
-// propagation reuses src/expr interval evaluation directly.
+// What the `cp` fuzz oracle checks is therefore search optimality — that RG
+// and CP find plans of equal cost — and not the interval semantics, which
+// they share.  The independent check of those semantics is the concrete
+// simulator (sim::Executor), which re-executes every candidate plan with
+// real values.
 #pragma once
 
 #include <span>
 #include <string>
-#include <vector>
 
-#include "model/compile.hpp"
-#include "support/interval.hpp"
+#include "model/interval_replay.hpp"
 
 namespace sekitei::cp {
 
-/// Dense VarId -> Interval store with O(1) epoch-based clearing, so
-/// propagations never allocate after warm-up.
-class IntervalStore {
- public:
-  void reset(std::size_t var_count) {
-    if (vals_.size() < var_count) {
-      vals_.resize(var_count);
-      epoch_.resize(var_count, 0);
-    }
-    ++cur_;
-  }
-  [[nodiscard]] bool has(VarId v) const { return epoch_[v.index()] == cur_; }
-  [[nodiscard]] Interval get(VarId v) const { return vals_[v.index()]; }
-  void set(VarId v, Interval iv) {
-    vals_[v.index()] = iv;
-    epoch_[v.index()] = cur_;
-  }
-
- private:
-  std::vector<Interval> vals_;
-  std::vector<std::uint32_t> epoch_;
-  std::uint32_t cur_ = 0;
-};
-
 class Propagator {
  public:
-  explicit Propagator(const model::CompiledProblem& cp) : cp_(cp) {}
+  explicit Propagator(const model::CompiledProblem& cp) : replay_(cp) {}
 
   /// Propagates `steps` (execution order) through a fresh store.  With
   /// `from_init` the store is seeded from the initial resource map — the
   /// acceptance check for a complete assignment.  Returns false as soon as an
   /// interval empties or a condition becomes unsatisfiable.
-  [[nodiscard]] bool propagate(std::span<const ActionId> steps, bool from_init);
+  [[nodiscard]] bool propagate(std::span<const ActionId> steps, bool from_init) {
+    return replay_.run(steps, from_init, model::ReplayMode::Optimistic);
+  }
 
   /// Why the last propagation failed (empty when it succeeded).
-  [[nodiscard]] const std::string& failure() const { return failure_; }
+  [[nodiscard]] std::string failure() const { return replay_.failure(); }
 
   /// Total propagate() invocations — the search's dominant inner-loop work
   /// item, folded into Stats::propagations.
-  [[nodiscard]] std::uint64_t calls() const { return calls_; }
+  [[nodiscard]] std::uint64_t calls() const { return replay_.calls(); }
 
  private:
-  [[nodiscard]] bool step(const model::GroundAction& act);
-
-  const model::CompiledProblem& cp_;
-  IntervalStore store_;
-  std::vector<Interval> scratch_;
-  std::string failure_;
-  std::uint64_t calls_ = 0;
+  model::IntervalReplay replay_;
 };
 
 }  // namespace sekitei::cp

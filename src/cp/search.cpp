@@ -52,7 +52,8 @@ class Search {
   };
 
   [[nodiscard]] bool independent(ActionId a, ActionId b);
-  [[nodiscard]] std::vector<ActionId> tail_of(std::uint32_t idx) const;
+  /// Appends the tail of node `idx` to `out` in execution order.
+  void append_tail(std::uint32_t idx, std::vector<ActionId>& out) const;
   void enter(std::uint32_t idx);
 
   const model::CompiledProblem& cp_;
@@ -63,6 +64,11 @@ class Search {
 
   std::vector<Node> pool_;
   std::vector<Frame> stack_;
+  // Reused by enter(): a child's tail (its action in [0], then the entered
+  // node's tail), the branching candidates and the lex-leader marks.
+  std::vector<ActionId> tail_;
+  std::vector<ActionId> cands_;
+  std::vector<char> used_;
   std::vector<std::vector<VarId>> sorted_vars_;
 
   bool has_best_ = false;
@@ -104,14 +110,11 @@ bool Search::independent(ActionId a, ActionId b) {
   return true;
 }
 
-std::vector<ActionId> Search::tail_of(std::uint32_t idx) const {
-  std::vector<ActionId> steps;
-  std::uint32_t cur = idx;
-  while (pool_[cur].action.valid()) {
-    steps.push_back(pool_[cur].action);
-    cur = pool_[cur].parent;
+void Search::append_tail(std::uint32_t idx, std::vector<ActionId>& out) const {
+  // Deepest node's action first == execution order.
+  for (std::uint32_t cur = idx; pool_[cur].action.valid(); cur = pool_[cur].parent) {
+    out.push_back(pool_[cur].action);
   }
-  return steps;  // deepest node's action first == execution order
 }
 
 void Search::enter(std::uint32_t idx) {
@@ -138,12 +141,14 @@ void Search::enter(std::uint32_t idx) {
   const std::vector<PropId> state = pool_[idx].state;
   const double g = pool_[idx].g;
   const ActionId via = pool_[idx].action;
+  tail_.assign(1, ActionId{});
+  append_tail(idx, tail_);
+  const auto tail = std::span<const ActionId>(tail_).subspan(1);
 
   // Complete assignment: every open proposition holds initially and the tail
   // propagates from the initial store.  Bound pruning at the parent already
   // guarantees g < incumbent here, so any accepted assignment improves.
   if (sorted_subset(state, cp_.init_props)) {
-    std::vector<ActionId> tail = tail_of(idx);
     if (prop_.propagate(tail, /*from_init=*/true)) {
       bool accepted = true;
       if (opt_.validate) accepted = opt_.validate(tail, g);
@@ -151,7 +156,7 @@ void Search::enter(std::uint32_t idx) {
         if (!has_best_ || g < best_g_) {
           has_best_ = true;
           best_g_ = g;
-          best_steps_ = std::move(tail);
+          best_steps_.assign(tail.begin(), tail.end());
           ++st_.incumbents;
           st_.incumbent_cost = g;
           SEKITEI_LOG_DEBUG("cp.search", "incumbent recorded", log::kv("cost", g),
@@ -170,35 +175,34 @@ void Search::enter(std::uint32_t idx) {
 
   // Lex-leader symmetry state: nodes the assignment so far commits to.
   const bool sym = opt_.symmetry_breaking && cp_.symmetric_class_count > 0;
-  std::vector<char> used;
   if (sym) {
-    used.assign(cp_.net->node_count(), 0);
-    for (PropId p : state) used[cp_.props.key(p).node] = 1;
-    for (std::uint32_t w = idx; pool_[w].action.valid(); w = pool_[w].parent) {
-      const model::GroundAction& act = cp_.actions[pool_[w].action.index()];
-      if (act.node.valid()) used[act.node.index()] = 1;
-      if (act.node2.valid()) used[act.node2.index()] = 1;
+    used_.assign(cp_.net->node_count(), 0);
+    for (PropId p : state) used_[cp_.props.key(p).node] = 1;
+    for (ActionId t : tail) {
+      const model::GroundAction& act = cp_.actions[t.index()];
+      if (act.node.valid()) used_[act.node.index()] = 1;
+      if (act.node2.valid()) used_[act.node2.index()] = 1;
     }
   }
   auto sym_blocked = [&](NodeId n, NodeId other) {
-    if (!n.valid() || used[n.index()] != 0) return false;
+    if (!n.valid() || used_[n.index()] != 0) return false;
     for (const std::uint32_t m : cp_.node_class_members[cp_.node_class[n.index()]]) {
       if (m >= n.index()) break;
-      if (used[m] == 0 && (!other.valid() || m != other.index())) return true;
+      if (used_[m] == 0 && (!other.valid() || m != other.index())) return true;
     }
     return false;
   };
 
   // Branching candidates: achievers of any open proposition.
-  std::vector<ActionId> cands;
+  cands_.clear();
   for (PropId p : state) {
     if (cp_.init_holds(p)) continue;
-    for (ActionId a : cp_.achievers_of(p)) sorted_insert(cands, a);
+    for (ActionId a : cp_.achievers_of(p)) sorted_insert(cands_, a);
   }
 
   Frame fr;
   fr.pool_base = static_cast<std::uint32_t>(pool_.size());
-  for (ActionId a : cands) {
+  for (ActionId a : cands_) {
     // Canonical ordering of adjacent independent actions: explore only the
     // ascending-id order of a commuting pair.
     if (opt_.commutativity_pruning && via.valid() && a > via && independent(a, via)) continue;
@@ -209,15 +213,8 @@ void Search::enter(std::uint32_t idx) {
         continue;
       }
     }
-    if (opt_.forbid_repeated_actions) {
-      bool seen = false;
-      for (std::uint32_t w = idx; pool_[w].action.valid(); w = pool_[w].parent) {
-        if (pool_[w].action == a) {
-          seen = true;
-          break;
-        }
-      }
-      if (seen) continue;
+    if (opt_.forbid_repeated_actions && std::find(tail.begin(), tail.end(), a) != tail.end()) {
+      continue;
     }
     std::vector<PropId> nxt = regress(cp_, state, a);
     if (nxt == state) continue;
@@ -236,7 +233,8 @@ void Search::enter(std::uint32_t idx) {
     }
     const std::uint32_t child = static_cast<std::uint32_t>(pool_.size());
     pool_.push_back(Node{a, idx, std::move(nxt), g2});
-    if (!prop_.propagate(tail_of(child), /*from_init=*/false)) {
+    tail_[0] = a;
+    if (!prop_.propagate(tail_, /*from_init=*/false)) {
       ++st_.pruned_by_propagation;
       pool_.pop_back();
       continue;

@@ -15,11 +15,13 @@
 // a class may only be introduced if every smaller unused twin is, too
 // (identical to the RG rule, toggleable for CP-with-vs-without experiments).
 //
-// The regression move set, propagation semantics, pruning rules and
-// acceptance checks mirror the RG search exactly.  That is deliberate: both
-// backends then provably agree on feasibility and optimal cost while sharing
-// no search code, which is what makes CP an independent optimality oracle
-// for the fuzzer (`--oracles cp`) and a comparable competitor in bench_cp.
+// The regression move set, pruning rules and acceptance checks mirror the RG
+// search exactly, and propagation is the RG's own interval replay step
+// (model/interval_replay.hpp).  That is deliberate: both backends then
+// provably agree on feasibility and optimal cost while sharing no search
+// code, which is what makes CP an independent optimality oracle for the
+// fuzzer (`--oracles cp`) and a comparable competitor in bench_cp.  The
+// interval semantics themselves are checked by sim::Executor, not by CP.
 #pragma once
 
 #include <cstdint>

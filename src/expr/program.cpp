@@ -1,6 +1,7 @@
 #include "expr/program.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "support/error.hpp"
 
@@ -9,20 +10,26 @@ namespace sekitei::expr {
 Program Program::compile(const Node& ast, const SlotResolver& resolve) {
   Program p;
   std::uint32_t max_slot = 0;
-  // Explicit-stack-free recursive compile; spec expressions are tiny.
+  // Explicit-stack-free recursive compile; spec expressions are tiny.  The
+  // running stack depth is tracked alongside so eval() can trust its bound.
   struct Rec {
     const SlotResolver& resolve;
     Program& p;
     std::uint32_t& max_slot;
+    std::uint32_t depth = 0;
+    void push(Instr ins) {
+      p.instrs_.push_back(ins);
+      p.max_depth_ = std::max(p.max_depth_, ++depth);
+    }
     void go(const Node& n) {
       switch (n.kind) {
         case NodeKind::Const:
-          p.instrs_.push_back({Op::PushConst, static_cast<std::uint32_t>(p.consts_.size())});
+          push({Op::PushConst, static_cast<std::uint32_t>(p.consts_.size())});
           p.consts_.push_back(n.value);
           break;
         case NodeKind::Var: {
           const std::uint32_t slot = resolve(n.ref);
-          p.instrs_.push_back({Op::PushVar, slot});
+          push({Op::PushVar, slot});
           max_slot = std::max(max_slot, slot + 1);
           break;
         }
@@ -49,6 +56,7 @@ Program Program::compile(const Node& ast, const SlotResolver& resolve) {
             default: break;
           }
           p.instrs_.push_back({op, 0});
+          --depth;
           break;
         }
         case NodeKind::Table:
@@ -60,13 +68,18 @@ Program Program::compile(const Node& ast, const SlotResolver& resolve) {
     }
   } rec{resolve, p, max_slot};
   rec.go(ast);
+  if (p.max_depth_ > kMaxDepth) {
+    raise("formula needs an evaluation stack of " + std::to_string(p.max_depth_) +
+          " cells, more than the " + std::to_string(kMaxDepth) + " supported: " + ast.str());
+  }
   p.slot_count_ = max_slot;
   return p;
 }
 
 double Program::eval(std::span<const double> slots) const {
-  // Fixed-size evaluation stack; spec formulae never nest deeper than this.
-  double stack[64];
+  // compile() bounded the depth, so one check covers every push below.
+  SEKITEI_ASSERT(max_depth_ <= kMaxDepth);
+  double stack[kMaxDepth];
   std::size_t sp = 0;
   for (const Instr& ins : instrs_) {
     switch (ins.op) {
@@ -81,14 +94,20 @@ double Program::eval(std::span<const double> slots) const {
       case Op::Max: stack[sp - 2] = std::max(stack[sp - 2], stack[sp - 1]); --sp; break;
       case Op::Table: stack[sp - 1] = tables_[ins.arg].eval(stack[sp - 1]); break;
     }
-    SEKITEI_ASSERT(sp <= 64);
   }
   SEKITEI_ASSERT(sp == 1);
   return stack[0];
 }
 
 Interval Program::eval_interval(std::span<const Interval> slots) const {
-  Interval stack[64];
+  SEKITEI_ASSERT(max_depth_ <= kMaxDepth);
+  // Uninitialised cells: Interval's default constructor would write all
+  // kMaxDepth of them on every call, more work than a typical formula.
+  union Stack {
+    Stack() {}
+    Interval cell[kMaxDepth];
+  } s;
+  Interval* const stack = s.cell;
   std::size_t sp = 0;
   for (const Instr& ins : instrs_) {
     switch (ins.op) {
@@ -119,7 +138,6 @@ Interval Program::eval_interval(std::span<const Interval> slots) const {
         break;
       }
     }
-    SEKITEI_ASSERT(sp <= 64);
   }
   SEKITEI_ASSERT(sp == 1);
   return stack[0];
@@ -163,8 +181,10 @@ bool CompiledCondition::holds(std::span<const double> slots) const {
 }
 
 bool CompiledCondition::satisfiable(std::span<const Interval> slots) const {
-  const Interval l = lhs.eval_interval(slots);
-  const Interval r = rhs.eval_interval(slots);
+  return satisfiable(lhs.eval_interval(slots), rhs.eval_interval(slots));
+}
+
+bool CompiledCondition::satisfiable(Interval l, Interval r) const {
   if (l.is_empty() || r.is_empty()) return false;
   switch (op) {
     case CmpOp::Ge:
@@ -186,8 +206,10 @@ bool CompiledCondition::satisfiable(std::span<const Interval> slots) const {
 }
 
 bool CompiledCondition::certain(std::span<const Interval> slots) const {
-  const Interval l = lhs.eval_interval(slots);
-  const Interval r = rhs.eval_interval(slots);
+  return certain(lhs.eval_interval(slots), rhs.eval_interval(slots));
+}
+
+bool CompiledCondition::certain(Interval l, Interval r) const {
   if (l.is_empty() || r.is_empty()) return false;
   switch (op) {
     case CmpOp::Ge:

@@ -2,9 +2,11 @@
 //
 // Specification ASTs are compiled once per spec into flat postfix programs
 // whose variable references are *slots* (small dense indices).  A ground
-// action then carries only a slot->VarId binding vector; the hot planner
-// paths (optimistic-map replay, concrete simulation) evaluate these programs
-// with no allocation, no string handling, and no pointer chasing.
+// action then carries only a slot->VarId binding vector.  Evaluation runs on
+// a fixed, uninitialised stack whose depth compile() bounds, so it neither
+// allocates nor handles strings; the optimistic-map replay built on it
+// (model/interval_replay.hpp) allocates only while its reusable maps first
+// grow to the problem's size, and keeps prune reasons as static text.
 #pragma once
 
 #include <cstdint>
@@ -38,9 +40,15 @@ using SlotResolver = std::function<std::uint32_t(const RoleRef&)>;
 
 class Program {
  public:
+  /// Evaluation stack size.  compile() rejects deeper formulae, so eval()
+  /// never writes past it.
+  static constexpr std::uint32_t kMaxDepth = 64;
+
   Program() = default;
 
-  /// Compiles `ast`, resolving role references through `resolve`.
+  /// Compiles `ast`, resolving role references through `resolve`.  Raises
+  /// sekitei::Error naming the formula when it needs more than kMaxDepth
+  /// stack cells (e.g. a right-nested sum of 65 terms).
   static Program compile(const Node& ast, const SlotResolver& resolve);
 
   /// Evaluates with concrete slot values.
@@ -69,6 +77,7 @@ class Program {
   std::vector<double> consts_;
   std::vector<TableData> tables_;
   std::uint32_t slot_count_ = 0;
+  std::uint32_t max_depth_ = 0;
 };
 
 /// Compiled condition: lhs <cmp> rhs over a shared slot space.
@@ -84,11 +93,15 @@ struct CompiledCondition {
   /// Can the condition hold for *some* choice within the intervals?  Used by
   /// the optimistic replay: a condition that cannot hold prunes the branch.
   [[nodiscard]] bool satisfiable(std::span<const Interval> slots) const;
+  /// Same, over already-evaluated sides l = lhs(slots), r = rhs(slots).
+  [[nodiscard]] bool satisfiable(Interval l, Interval r) const;
 
   /// Does the condition hold for *every* choice within the intervals?  Used
   /// by the greedy (original-Sekitei) mode, which must be robust against the
   /// worst case.
   [[nodiscard]] bool certain(std::span<const Interval> slots) const;
+  /// Same, over already-evaluated sides l = lhs(slots), r = rhs(slots).
+  [[nodiscard]] bool certain(Interval l, Interval r) const;
 };
 
 /// Compiled effect: slot `target` <op>= value.

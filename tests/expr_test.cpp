@@ -318,6 +318,37 @@ TEST(Program, UsedSlotsAndSingleVar) {
   EXPECT_EQ(q.used_slots().size(), 2u);
 }
 
+/// `T.ibw + (T.ibw + (... + T.ibw))` with `terms` terms: every operand is
+/// pushed before the first addition, so it needs `terms` stack cells.
+std::string right_nested_sum(int terms) {
+  std::string s = "T.ibw";
+  for (int i = 1; i < terms; ++i) s = "T.ibw + (" + s + ")";
+  return s;
+}
+
+TEST(Program, StackDepthLimitAcceptsSixtyFourCells) {
+  TestResolver res;
+  Program p = compile_str(right_nested_sum(64), res);
+  const double v[] = {1.5};
+  EXPECT_DOUBLE_EQ(p.eval(v), 96.0);
+  const Interval iv[] = {{1, 2}};
+  const Interval r = p.eval_interval(iv);
+  EXPECT_DOUBLE_EQ(r.lo, 64.0);
+  EXPECT_DOUBLE_EQ(r.hi, 128.0);
+}
+
+TEST(Program, StackDepthLimitRejectsSixtyFiveCells) {
+  TestResolver res;
+  try {
+    (void)compile_str(right_nested_sum(65), res);
+    FAIL() << "a 65-cell formula must be rejected at compile time";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("65"), std::string::npos) << what;
+    EXPECT_NE(what.find("(T.ibw + (T.ibw + "), std::string::npos) << what;
+  }
+}
+
 TEST(Lexer, CommentsAndLines) {
   Lexer lex("1 # comment\n+ 2 // another\n+ 3");
   NodePtr ast = parse_expr(lex, {});

@@ -1,11 +1,14 @@
-// Unit tests for the optimistic-map replay engine (core/replay) — the Fig. 8
-// machinery: interval merging, degradable/upgradable shifts, condition
-// narrowing, effect execution and the greedy worst-case mode.
+// Unit tests for the optimistic-map replay engine (core/replay over
+// model/interval_replay) — the Fig. 8 machinery: interval merging,
+// degradable/upgradable shifts, condition narrowing, effect execution, the
+// greedy worst-case mode, and the text of every prune reason.
 #include <gtest/gtest.h>
 
 #include "core/replay.hpp"
 #include "domains/media.hpp"
 #include "model/compile.hpp"
+#include "model/textio.hpp"
+#include "support/fault.hpp"
 
 namespace sekitei::core {
 namespace {
@@ -181,6 +184,128 @@ TEST(Replay, ResourceMapEpochReuseIsClean) {
     }
   }
   EXPECT_FALSE(found_m_from_prev) << "I stream produced by sp leaked into the next replay";
+}
+
+// ---- prune reasons --------------------------------------------------------
+//
+// One domain built so that each prune reason fires on a two-step tail at
+// node n0.  Every producer writes its stream from the node's cpu ([0, 30]),
+// so it exists at both levels of a `{ 10 }` level set; Burn leaves at most
+// 5 cpu behind for the next action on the node.
+constexpr const char* kReasonDomain = R"(
+interface D { property v degradable; cross { D.v' := D.v; } cost 1; }
+interface U { property v upgradable; cross { U.v' := U.v; } cost 1; }
+interface P { property v; cross { P.v' := P.v; } cost 1; }
+interface Q { property v; cross { Q.v' := Q.v; } cost 1; }
+interface B { property v; cross { B.v' := B.v; } cost 1; }
+component MakeD { implements D; effects { D.v := node.cpu; } cost 1; }
+component MakeU { implements U; effects { U.v := node.cpu; } cost 1; }
+component MakeP { implements P; effects { P.v := node.cpu; } cost 1; }
+component UseD { requires D; cost 1; }
+component UseU { requires U; cost 1; }
+component UseP { requires P; cost 1; }
+component Burn { implements B; effects { B.v := 1; node.cpu -= 25; } cost 1; }
+component Need { conditions { node.cpu >= 20; } cost 1; }
+component Gen { implements Q; effects { Q.v := node.cpu; } cost 1; }
+)";
+
+constexpr const char* kReasonProblem = R"(
+network {
+  node n0 { cpu 30; }
+  node n1 { cpu 30; }
+  link n0 n1 lan { lbw 100; delay 1; }
+}
+problem {
+  goal UseD at n1;
+}
+scenario {
+  levels D.v { 10 }
+  levels U.v { 10 }
+  levels P.v { 10 }
+  levels Q.v { 10 }
+}
+)";
+
+class PruneReasons : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    lp_ = model::load_problem(kReasonDomain, kReasonProblem);
+    cp_ = std::make_unique<model::CompiledProblem>(model::compile(lp_->problem, lp_->scenario));
+  }
+  void TearDown() override { fault::disarm_all(); }
+
+  /// The placement of `comp` on n0 whose stream levels (inputs, then
+  /// outputs) all equal `level`.
+  ActionId at_n0(const std::string& comp, std::uint32_t level = 0) const {
+    return place_of(*cp_, comp, NodeId(0), level);
+  }
+
+  /// Replays `tail` as a search-time tail (no initial map, so first
+  /// mentions take the action's optimistic intervals); expects a prune and
+  /// returns its text.
+  std::string prune_text(std::initializer_list<ActionId> tail, bool from_init = false) const {
+    Replayer r(*cp_);
+    const std::vector<ActionId> steps(tail);
+    EXPECT_FALSE(r.replay(steps, from_init, ReplayMode::Optimistic));
+    return r.failure();
+  }
+
+  std::unique_ptr<model::LoadedProblem> lp_;
+  std::unique_ptr<model::CompiledProblem> cp_;
+};
+
+TEST_F(PruneReasons, DegradableInputBelowRequiredLevel) {
+  // D produced in [0,10) cannot reach UseD's [10,inf).
+  EXPECT_EQ(prune_text({at_n0("MakeD", 0), at_n0("UseD", 1)}),
+            "degradable input below required level");
+}
+
+TEST_F(PruneReasons, UpgradableInputAboveRequiredLevel) {
+  // U produced in [10,30] cannot come down to UseU's [0,10).
+  EXPECT_EQ(prune_text({at_n0("MakeU", 1), at_n0("UseU", 0)}),
+            "upgradable input above required level");
+}
+
+TEST_F(PruneReasons, EmptyIntersection) {
+  // An untagged stream neither shifts down nor up: [0,10) meets [10,inf).
+  EXPECT_EQ(prune_text({at_n0("MakeP", 0), at_n0("UseP", 1)}),
+            "optimistic interval intersection empty");
+}
+
+TEST_F(PruneReasons, ConditionFailed) {
+  EXPECT_EQ(prune_text({at_n0("Burn"), at_n0("Need")}), "condition failed: node.cpu >= 20");
+}
+
+TEST_F(PruneReasons, ProducedValueMissesAssertedLevel) {
+  // With at most 5 cpu left, Gen cannot produce Q at its level [10,inf).
+  EXPECT_EQ(prune_text({at_n0("Burn"), at_n0("Gen", 1)}),
+            "produced value misses asserted level: Q.v := node.cpu");
+}
+
+TEST_F(PruneReasons, InjectedValidateFault) {
+  fault::arm("replay.validate", 1, fault::Mode::Fail);
+  EXPECT_EQ(prune_text({at_n0("MakeD", 1)}, /*from_init=*/true),
+            "injected fault at replay.validate");
+}
+
+TEST_F(PruneReasons, NarrowingText) {
+  // No tail reaches this prune: a side that is a single variable evaluates
+  // to that slot's interval, so once the condition is satisfiable (or
+  // certain) the narrowed interval is non-empty.  The step keeps the check
+  // as a guard; its text follows the condition format.
+  const expr::CompiledCondition& need = cp_->actions[at_n0("Need").index()].sem->conditions[0];
+  const model::Prune prune{"narrowing emptied interval", &need.source};
+  EXPECT_EQ(prune.text(), "narrowing emptied interval: node.cpu >= 20");
+}
+
+TEST_F(PruneReasons, FailureIsEmptyAfterSuccess) {
+  Replayer r(*cp_);
+  const ActionId bad[] = {at_n0("Burn"), at_n0("Need")};
+  const ActionId good[] = {at_n0("MakeD", 1), at_n0("UseD", 1)};
+  ASSERT_FALSE(r.replay(bad, /*from_init=*/false, ReplayMode::Optimistic));
+  ASSERT_FALSE(r.failure().empty());
+  EXPECT_TRUE(r.replay(good, /*from_init=*/false, ReplayMode::Optimistic)) << r.failure();
+  EXPECT_EQ(r.failure(), "");
 }
 
 }  // namespace

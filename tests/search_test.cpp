@@ -14,14 +14,12 @@ namespace {
 
 using domains::media::scenario;
 
-CostFn leveled_cost(const model::CompiledProblem& cp) {
-  return [&cp](ActionId a) { return cp.actions[a.index()].cost_lb; };
-}
 
 TEST(Plrg, InitialPropsCostZero) {
   auto inst = domains::media::tiny();
   auto cp = model::compile(inst->problem, scenario('C'));
-  Plrg plrg(cp, leveled_cost(cp));
+  const std::vector<double> cost = action_costs(cp, /*unit=*/false);
+  Plrg plrg(cp, cost);
   plrg.build(cp.goal_prop);
   for (PropId p : cp.init_props) {
     if (plrg.reachable(p)) {
@@ -33,7 +31,8 @@ TEST(Plrg, InitialPropsCostZero) {
 TEST(Plrg, GoalReachableWithFiniteCost) {
   auto inst = domains::media::tiny();
   auto cp = model::compile(inst->problem, scenario('C'));
-  Plrg plrg(cp, leveled_cost(cp));
+  const std::vector<double> cost = action_costs(cp, /*unit=*/false);
+  Plrg plrg(cp, cost);
   plrg.build(cp.goal_prop);
   ASSERT_TRUE(plrg.reachable(cp.goal_prop));
   EXPECT_GT(plrg.cost(cp.goal_prop), 0.0);
@@ -44,7 +43,8 @@ TEST(Plrg, CostIsAdmissibleAgainstRealPlan) {
   // a proposition" (Section 3.2.1).
   auto inst = domains::media::small();
   auto cp = model::compile(inst->problem, scenario('C'));
-  Plrg plrg(cp, leveled_cost(cp));
+  const std::vector<double> cost = action_costs(cp, /*unit=*/false);
+  Plrg plrg(cp, cost);
   plrg.build(cp.goal_prop);
 
   Sekitei planner(cp);
@@ -54,13 +54,26 @@ TEST(Plrg, CostIsAdmissibleAgainstRealPlan) {
   EXPECT_LE(plrg.cost(cp.goal_prop), r.plan->cost_lb + 1e-9);
 }
 
+TEST(Plrg, CostFnConstructorTabulatesTheSameCosts) {
+  auto inst = domains::media::small();
+  auto cp = model::compile(inst->problem, scenario('C'));
+  const std::vector<double> cost = action_costs(cp, /*unit=*/false);
+  Plrg from_table(cp, cost);
+  Plrg from_fn(cp, CostFn([&cp](ActionId a) { return cp.actions[a.index()].cost_lb; }));
+  from_table.build(cp.goal_prop);
+  from_fn.build(cp.goal_prop);
+  EXPECT_EQ(from_table.cost(cp.goal_prop), from_fn.cost(cp.goal_prop));
+  EXPECT_EQ(from_table.action_nodes(), from_fn.action_nodes());
+}
+
 TEST(Plrg, UnreachableGoalDetected) {
   // No component implements what a lonely goal needs: remove all streams.
   auto inst = domains::media::tiny();
   model::CppProblem prob = inst->problem;
   prob.initial_streams.clear();  // the server offers nothing
   auto cp = model::compile(prob, scenario('C'));
-  Plrg plrg(cp, leveled_cost(cp));
+  const std::vector<double> cost = action_costs(cp, /*unit=*/false);
+  Plrg plrg(cp, cost);
   plrg.build(cp.goal_prop);
   EXPECT_FALSE(plrg.reachable(cp.goal_prop));
 }
@@ -68,7 +81,8 @@ TEST(Plrg, UnreachableGoalDetected) {
 TEST(Plrg, RelevantActionsAreSubsetOfAll) {
   auto inst = domains::media::small();
   auto cp = model::compile(inst->problem, scenario('C'));
-  Plrg plrg(cp, leveled_cost(cp));
+  const std::vector<double> cost = action_costs(cp, /*unit=*/false);
+  Plrg plrg(cp, cost);
   plrg.build(cp.goal_prop);
   EXPECT_GT(plrg.action_nodes(), 0u);
   EXPECT_LE(plrg.action_nodes(), cp.actions.size());
@@ -80,9 +94,10 @@ TEST(Slrg, GoalSetCostDominatesPlrg) {
   //  accurate than that obtained directly from the PLRG."
   auto inst = domains::media::small();
   auto cp = model::compile(inst->problem, scenario('C'));
-  Plrg plrg(cp, leveled_cost(cp));
+  const std::vector<double> cost = action_costs(cp, /*unit=*/false);
+  Plrg plrg(cp, cost);
   plrg.build(cp.goal_prop);
-  Slrg slrg(cp, plrg, leveled_cost(cp));
+  Slrg slrg(cp, plrg, cost);
   const std::vector<PropId> goal{cp.goal_prop};
   const double c = slrg.estimate(goal);
   EXPECT_GE(c, plrg.set_cost(goal) - 1e-9);
@@ -92,9 +107,10 @@ TEST(Slrg, GoalSetCostDominatesPlrg) {
 TEST(Slrg, EstimateIsAdmissible) {
   auto inst = domains::media::small();
   auto cp = model::compile(inst->problem, scenario('C'));
-  Plrg plrg(cp, leveled_cost(cp));
+  const std::vector<double> cost = action_costs(cp, /*unit=*/false);
+  Plrg plrg(cp, cost);
   plrg.build(cp.goal_prop);
-  Slrg slrg(cp, plrg, leveled_cost(cp));
+  Slrg slrg(cp, plrg, cost);
   const double c_logical = slrg.estimate({cp.goal_prop});
 
   Sekitei planner(cp);
@@ -107,9 +123,10 @@ TEST(Slrg, EstimateIsAdmissible) {
 TEST(Slrg, MemoizationIsConsistent) {
   auto inst = domains::media::tiny();
   auto cp = model::compile(inst->problem, scenario('C'));
-  Plrg plrg(cp, leveled_cost(cp));
+  const std::vector<double> cost = action_costs(cp, /*unit=*/false);
+  Plrg plrg(cp, cost);
   plrg.build(cp.goal_prop);
-  Slrg slrg(cp, plrg, leveled_cost(cp));
+  Slrg slrg(cp, plrg, cost);
   const std::vector<PropId> goal{cp.goal_prop};
   const double first = slrg.estimate(goal);
   const std::size_t sets_after_first = slrg.set_count();
@@ -121,9 +138,10 @@ TEST(Slrg, MemoizationIsConsistent) {
 TEST(Slrg, SubsetOfInitCostsZero) {
   auto inst = domains::media::tiny();
   auto cp = model::compile(inst->problem, scenario('C'));
-  Plrg plrg(cp, leveled_cost(cp));
+  const std::vector<double> cost = action_costs(cp, /*unit=*/false);
+  Plrg plrg(cp, cost);
   plrg.build(cp.goal_prop);
-  Slrg slrg(cp, plrg, leveled_cost(cp));
+  Slrg slrg(cp, plrg, cost);
   ASSERT_FALSE(cp.init_props.empty());
   EXPECT_DOUBLE_EQ(slrg.estimate({cp.init_props.front()}), 0.0);
 }
