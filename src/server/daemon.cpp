@@ -184,7 +184,7 @@ void Daemon::submit(wire::WireRequest&& w,
   req.deadline_ms = w.deadline_ms;
   req.validate = w.validate;
   req.preflight = w.preflight;
-  req.degrade.enabled = w.degrade;
+  req.degrade = w.degrade;
   req.echo_plan = w.echo_plan;
   if (w.repair) {
     // Resolve the name-keyed wire damage against the loaded instance before

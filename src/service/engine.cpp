@@ -1,12 +1,12 @@
 #include "service/engine.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <exception>
 #include <fstream>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "analysis/analyzer.hpp"
 #include "analysis/symmetry.hpp"
@@ -85,7 +85,25 @@ std::string next_engine_label() {
   return std::to_string(constructed.fetch_add(1, std::memory_order_relaxed));
 }
 
+/// Share of a deadline budget the first rung of a multi-rung ladder may
+/// spend; the rest is held in reserve for the rungs below it.
+constexpr double kFirstRungShare = 0.6;
+
 }  // namespace
+
+/// One rung of a degradation ladder: a search in `mode` over `problem`.
+struct PlanningEngine::Rung {
+  /// The compile this rung searches, made on first call (the full replan's
+  /// bare damaged network is only compiled when a rung needs it).
+  std::function<const model::CompiledProblem&()> problem;
+  core::PlannerOptions::Mode mode;
+  LadderStep step;
+  /// This rung's feasible set contains the one above it.  Its "no plan" is
+  /// then a proof for the request, and it runs whenever the rung above ends
+  /// without a plan or a cancel; a rung that does not relax only rescues a
+  /// search the deadline cut short, and its failure proves nothing.
+  bool relaxes;
+};
 
 PlanningEngine::PlanningEngine(Options options)
     : options_(std::move(options)),
@@ -294,156 +312,185 @@ PlanResponse PlanningEngine::process_inner(PlanRequest& request, double wait_ms)
 
   if (request.repair) {
     process_repair(request, r, cp);
-    SEKITEI_LOG_INFO("service.engine", "repair served", log::kv("id", r.id.c_str()),
-                     log::kv("outcome", outcome_name(r.outcome)),
-                     log::kv("ladder", ladder_step_name(r.ladder)),
-                     log::kv("repaired", r.repaired), log::kv("migrations", r.migrations),
-                     log::kv("solve_ms", r.solve_ms));
-    return r;
-  }
-
-  // Pre-flight: a provably-infeasible instance is answered here, before a
-  // search budget (or the degradation ladder) is committed to it.  The
-  // analysis is one-sided — it only ever rejects instances no plan can
-  // exist for — so an inconclusive verdict simply falls through.
-  if (request.preflight || options_.preflight) {
-    if (SEKITEI_FAULT_POINT("preflight")) {
-      raise("injected fault at preflight");
-    }
-    const Stopwatch preflight_watch;
-    const analysis::PreflightVerdict verdict = analysis::preflight(cp);
-    r.preflight_ran = true;
-    r.preflight_ms = preflight_watch.elapsed_ms();
-    r.preflight_sweeps = verdict.sweeps;
-    if (verdict.infeasible) {
-      r.preflight_rejected = true;
-      preflight_rejections_->add(1);
-      r.outcome = Outcome::Infeasible;
-      r.failure = std::string(verdict.code) + " " + verdict.reason;
-      SEKITEI_LOG_INFO("service.engine", "preflight rejected request",
-                       log::kv("id", r.id.c_str()), log::kv("code", verdict.code));
-      return r;
-    }
-  }
-
-  // Degradation ladder setup.  When a greedy retry is available, the primary
-  // (optimal) attempt only gets primary_fraction of the remaining budget —
-  // the reserve funds the retry.  t_end is the request's true deadline; the
-  // fractional deadline is re-armed on the same StopSource, and cancellation
-  // still wins at any point (a separate flag on the shared state).
-  const std::int64_t t_end = request.stop.deadline_epoch_ns();
-  const bool can_fallback = request.degrade.enabled && request.degrade.greedy_fallback &&
-                            request.mode == core::PlannerOptions::Mode::Leveled && t_end != 0;
-  if (can_fallback && request.degrade.primary_fraction > 0.0 &&
-      request.degrade.primary_fraction < 1.0) {
-    const std::int64_t now = StopSource::now_epoch_ns();
-    if (t_end > now) {
-      const auto slice = static_cast<std::int64_t>(
-          static_cast<double>(t_end - now) * request.degrade.primary_fraction);
-      request.stop.arm_deadline_at_ns(now + slice);
-    }
-  }
-
-  auto attempt = [&](core::PlannerOptions::Mode mode) {
-    core::PlannerOptions opt;
-    opt.mode = mode;
-    opt.stop = token;
-    opt.progress_every = request.progress_every;
-    opt.progress = request.progress;
-    opt.anytime = request.degrade.enabled;
-    core::Sekitei planner(cp, opt);
-    if (request.validate) {
-      sim::Executor exec(cp);
-      return planner.plan([&](const core::Plan& p) { return exec.execute(p).feasible; });
-    }
-    return planner.plan();
-  };
-
-  auto adopt_plan = [&](core::PlanResult& result) {
-    r.plan_text = result.plan->str(cp);
-    r.plan = std::move(result.plan);
-    if (request.echo_plan) {
-      r.plan_steps.clear();
-      r.plan_steps.reserve(r.plan->steps.size());
-      for (const ActionId aid : r.plan->steps) r.plan_steps.push_back(aid.index());
-      sim::Executor echo_exec(cp);
-      const sim::ExecutionReport echoed = echo_exec.execute(*r.plan);
-      if (echoed.feasible) r.choices = echoed.choices;
-    }
-  };
-
-  Stopwatch watch;
-  core::PlanResult result = attempt(request.mode);
-  r.solve_ms = watch.elapsed_ms();
-  r.stats = result.stats;
-  r.failure = result.failure;
-
-  if (result.plan && !result.stats.stopped) {
-    adopt_plan(result);
-    r.outcome = Outcome::Solved;
-    r.ladder = LadderStep::Primary;
-    r.failure.clear();
-  } else if (result.plan) {
-    // Rung 2: the stopped search held a replay-validated incumbent.
-    adopt_plan(result);
-    r.outcome = Outcome::Degraded;
-    r.ladder = LadderStep::AnytimeIncumbent;
-    char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  "%s fired mid-search; returning best incumbent (cost %.3f, open lower "
-                  "bound %.3f)",
-                  stop_reason_name(token.reason()), r.stats.incumbent_cost,
-                  r.stats.open_cost_lb);
-    r.failure = buf;
-  } else if (result.stats.stopped && token.reason() == StopReason::Cancelled) {
-    r.outcome = Outcome::Cancelled;
-  } else if (result.stats.stopped) {
-    // Rung 3: no incumbent — greedy retry on (a fraction of) the reserve.
-    r.outcome = Outcome::DeadlineExceeded;
-    if (can_fallback) {
-      const std::int64_t now = StopSource::now_epoch_ns();
-      if (t_end > now) {
-        std::int64_t budget = t_end - now;
-        if (request.degrade.greedy_fraction > 0.0 && request.degrade.greedy_fraction < 1.0) {
-          budget = static_cast<std::int64_t>(static_cast<double>(budget) *
-                                             request.degrade.greedy_fraction);
-        }
-        request.stop.arm_deadline_at_ns(now + std::max<std::int64_t>(budget, 1));
-        trace::Span fallback_span("service.greedy_fallback", "service");
-        Stopwatch fb;
-        core::PlanResult fallback = attempt(core::PlannerOptions::Mode::Greedy);
-        r.fallback_ms = fb.elapsed_ms();
-        r.solve_ms = watch.elapsed_ms();
-        if (fallback.plan) {
-          r.stats = fallback.stats;
-          adopt_plan(fallback);
-          r.outcome = Outcome::Degraded;
-          r.ladder = LadderStep::GreedyFallback;
-          char buf[160];
-          std::snprintf(buf, sizeof buf,
-                        "deadline fired before the optimal search finished; greedy fallback "
-                        "plan (cost lb %.3f)",
-                        r.plan->cost_lb);
-          r.failure = buf;
-        } else if (fallback.stats.stopped &&
-                   token.reason() == StopReason::Cancelled) {
-          r.outcome = Outcome::Cancelled;
-          r.stats = fallback.stats;
-        }
-        // A greedy "infeasible" is NOT proof for the leveled semantics (the
-        // worst-case reservation is strictly more conservative), so the
-        // outcome stays DeadlineExceeded with the primary attempt's stats.
-      }
-    }
   } else {
-    r.outcome = Outcome::Infeasible;
+    const auto cached = [&cp]() -> const model::CompiledProblem& { return cp; };
+    std::vector<Rung> rungs{{cached, request.mode, LadderStep::Primary, false}};
+    if (request.degrade && request.mode == core::PlannerOptions::Mode::Leveled) {
+      // The worst-case reservation is strictly more conservative than the
+      // leveled semantics: greedy only rescues a search the deadline cut.
+      rungs.push_back({cached, core::PlannerOptions::Mode::Greedy, LadderStep::GreedyFallback,
+                       false});
+    }
+    run_ladder(request, r, rungs, nullptr);
   }
   SEKITEI_LOG_INFO("service.engine", "request served", log::kv("id", r.id.c_str()),
                    log::kv("outcome", outcome_name(r.outcome)),
                    log::kv("ladder", ladder_step_name(r.ladder)),
                    log::kv("cache_hit", r.cache_hit), log::kv("wait_ms", r.wait_ms),
-                   log::kv("solve_ms", r.solve_ms));
+                   log::kv("solve_ms", r.solve_ms), log::kv("repaired", r.repaired),
+                   log::kv("migrations", r.migrations));
   return r;
+}
+
+void PlanningEngine::run_ladder(
+    PlanRequest& request, PlanResponse& r, const std::vector<Rung>& rungs,
+    const std::function<void(const model::CompiledProblem&)>& account) {
+  const StopToken token = request.stop.token();
+  const char* const fault_point = r.repair_requested ? "repair.plan" : "engine.plan";
+  const bool next_relaxes = rungs.size() > 1 && rungs[1].relaxes;
+
+  // Pre-flight on the first rung.  The analysis is one-sided — it only ever
+  // rejects instances no plan can exist for — so an inconclusive verdict
+  // falls through.  A proof against the first rung answers the request
+  // before any search budget is committed, unless the rung below relaxes
+  // it: then the first rung is merely skipped.
+  bool skip_first = false;
+  if (request.preflight || options_.preflight) {
+    if (SEKITEI_FAULT_POINT("preflight")) {
+      raise("injected fault at preflight");
+    }
+    const Stopwatch preflight_watch;
+    const analysis::PreflightVerdict verdict = analysis::preflight(rungs[0].problem());
+    r.preflight_ran = true;
+    r.preflight_ms = preflight_watch.elapsed_ms();
+    r.preflight_sweeps = verdict.sweeps;
+    if (verdict.infeasible) {
+      r.preflight_rejected = true;
+      r.failure = std::string(verdict.code) + " " + verdict.reason;
+      if (!next_relaxes) {
+        preflight_rejections_->add(1);
+        r.outcome = Outcome::Infeasible;
+        SEKITEI_LOG_INFO("service.engine", "preflight rejected request",
+                         log::kv("id", r.id.c_str()), log::kv("code", verdict.code));
+        return;
+      }
+      skip_first = true;
+    }
+  }
+
+  // Budget split: t_end is the request's true deadline; the first rung's
+  // share is re-armed on the same StopSource, and each later rung gets the
+  // whole remainder back.  Cancellation wins at any point (a separate flag
+  // on the shared state).
+  const std::int64_t t_end = request.stop.deadline_epoch_ns();
+  if (rungs.size() > 1 && t_end != 0) {
+    const std::int64_t now = StopSource::now_epoch_ns();
+    if (t_end > now) {
+      request.stop.arm_deadline_at_ns(
+          now + static_cast<std::int64_t>(static_cast<double>(t_end - now) * kFirstRungShare));
+    }
+  }
+
+  const Stopwatch watch;
+  for (std::size_t i = 0;; ++i) {
+    const Rung& rung = rungs[i];
+    core::PlanResult result;
+    trace::Span rung_span(ladder_step_name(rung.step), "service.ladder");
+    const Stopwatch rung_watch;
+    const model::CompiledProblem& target = rung.problem();
+    // Deterministic first-rung failure for tests and the CI fault matrix:
+    // Fail mode behaves exactly like the rung's budget share expiring
+    // with no incumbent in hand.
+    if (i == 0 && SEKITEI_FAULT_POINT(fault_point)) {
+      result.stats.stopped = true;
+      result.failure = std::string("injected fault at ") + fault_point;
+    } else if (i == 0 && skip_first) {
+      result.failure = r.failure;  // the pre-flight's proof against this rung
+    } else {
+      core::PlannerOptions opt;
+      opt.mode = rung.mode;
+      opt.stop = token;
+      opt.progress_every = request.progress_every;
+      opt.progress = request.progress;
+      opt.anytime = request.degrade;
+      core::Sekitei planner(target, opt);
+      if (request.validate) {
+        sim::Executor exec(target);
+        result = planner.plan([&](const core::Plan& p) { return exec.execute(p).feasible; });
+      } else {
+        result = planner.plan();
+      }
+    }
+    if (i > 0) r.fallback_ms += rung_watch.elapsed_ms();
+    r.solve_ms = watch.elapsed_ms();
+
+    if (result.plan) {
+      r.stats = result.stats;
+      r.plan_text = result.plan->str(target);
+      r.plan = std::move(result.plan);
+      r.symmetry_classes = target.symmetric_class_count;
+      r.repaired = r.repair_requested && i == 0;
+      if (account) account(target);
+      if (request.echo_plan) {
+        r.plan_steps.clear();
+        r.plan_steps.reserve(r.plan->steps.size());
+        for (const ActionId aid : r.plan->steps) r.plan_steps.push_back(aid.index());
+        sim::Executor echo_exec(target);
+        const sim::ExecutionReport echoed = echo_exec.execute(*r.plan);
+        if (echoed.feasible) r.choices = echoed.choices;
+      }
+      if (i == 0 && !result.stats.stopped) {
+        r.outcome = Outcome::Solved;
+        r.ladder = LadderStep::Primary;
+        r.failure.clear();
+        return;
+      }
+      r.outcome = Outcome::Degraded;
+      char buf[192];
+      if (i == 0) {
+        // The stopped search held a replay-validated incumbent.
+        r.ladder = LadderStep::AnytimeIncumbent;
+        std::snprintf(buf, sizeof buf,
+                      "%s fired mid-%s; returning best incumbent (cost %.3f, open lower "
+                      "bound %.3f)",
+                      stop_reason_name(token.reason()),
+                      r.repair_requested ? "repair" : "search", r.stats.incumbent_cost,
+                      r.stats.open_cost_lb);
+      } else {
+        r.ladder = rung.step;
+        std::snprintf(buf, sizeof buf, "%s (cost lb %.3f)",
+                      rung.step == LadderStep::FullReplan
+                          ? "repair could not answer within its budget; full replan on "
+                            "the damaged network"
+                          : "deadline fired before the optimal search finished; greedy "
+                            "fallback plan",
+                      r.plan->cost_lb);
+      }
+      r.failure = buf;
+      return;
+    }
+
+    // No plan.  The first rung's answer stands as the verdict until a rung
+    // that relaxes it answers; a rung that does not relax it (greedy) proves
+    // nothing by failing, so its answer only counts when it is a cancel.
+    const bool stopped = result.stats.stopped;
+    const bool cancelled = stopped && token.reason() == StopReason::Cancelled;
+    if (i == 0 || rung.relaxes || cancelled) {
+      r.outcome = cancelled ? Outcome::Cancelled
+                  : stopped ? Outcome::DeadlineExceeded
+                            : Outcome::Infeasible;
+      r.stats = result.stats;
+      r.failure = result.failure;
+    }
+    if (cancelled || i + 1 == rungs.size()) return;
+    // The next rung runs when it relaxes this one, or as a rescue for a
+    // search the deadline cut short.
+    const Rung& next = rungs[i + 1];
+    if (!next.relaxes && !stopped) return;
+    if (t_end != 0) {
+      if (t_end <= StopSource::now_epoch_ns()) {
+        if (!stopped) {
+          // This rung's "no plan" is no proof, and the rung that could have
+          // proved it never ran.
+          r.outcome = Outcome::DeadlineExceeded;
+          r.failure = std::string("deadline fired before the ") + ladder_step_name(next.step) +
+                      " rung could run";
+        }
+        return;
+      }
+      request.stop.arm_deadline_at_ns(t_end);
+    }
+  }
 }
 
 namespace {
@@ -502,7 +549,6 @@ void PlanningEngine::process_repair(PlanRequest& request, PlanResponse& r,
   trace::Span span("service.repair", "service");
   const RepairSpec& spec = *request.repair;
   r.repair_requested = true;
-  const StopToken token = request.stop.token();
 
   for (const ActionId aid : spec.prior_plan.steps) {
     if (aid.index() >= cp.actions.size()) {
@@ -520,20 +566,25 @@ void PlanningEngine::process_repair(PlanRequest& request, PlanResponse& r,
   // permissive problem any ladder rung will ever solve, so "unreachable
   // there" is a sound certificate that the drift is unsurvivable: answer
   // Infeasible immediately instead of burning the deadline on the repair
-  // search and the full replan.  The bare compile is hoisted to function
-  // scope so the FullReplan rung below reuses it verbatim.
+  // search and the full replan.  The FullReplan rung below plans on the same
+  // bare compile, made at most once.
   const net::Network bare = repair::damaged_copy(*cp.net, spec.damage, nullptr);
   model::CppProblem fresh = *cp.problem;
   fresh.network = &bare;
   std::optional<model::CompiledProblem> bcp;
+  const auto bare_problem = [&]() -> const model::CompiledProblem& {
+    if (!bcp) {
+      bcp.emplace(model::compile(fresh, cp.scenario));
+      analysis::attach_symmetry(*bcp);
+    }
+    return *bcp;
+  };
   if (request.preflight || options_.preflight) {
     if (SEKITEI_FAULT_POINT("repair.preflight")) {
       raise("injected fault at repair.preflight");
     }
     const Stopwatch preflight_watch;
-    bcp.emplace(model::compile(fresh, cp.scenario));
-    analysis::attach_symmetry(*bcp);
-    const analysis::PreflightVerdict verdict = analysis::preflight(*bcp);
+    const analysis::PreflightVerdict verdict = analysis::preflight(bare_problem());
     r.repair_preflight_ran = true;
     r.repair_preflight_ms = preflight_watch.elapsed_ms();
     if (verdict.infeasible) {
@@ -579,165 +630,20 @@ void PlanningEngine::process_repair(PlanRequest& request, PlanResponse& r,
   r.symmetry_classes = rcp.symmetric_class_count;
   r.compile_ms += compile_watch.elapsed_ms();
 
-  bool preflight_skip = false;  // preflight proved the repair CPP infeasible
-  if (request.preflight || options_.preflight) {
-    if (SEKITEI_FAULT_POINT("preflight")) {
-      raise("injected fault at preflight");
-    }
-    const Stopwatch preflight_watch;
-    const analysis::PreflightVerdict verdict = analysis::preflight(rcp);
-    r.preflight_ran = true;
-    r.preflight_ms = preflight_watch.elapsed_ms();
-    r.preflight_sweeps = verdict.sweeps;
-    if (verdict.infeasible) {
-      // Infeasible *with the survivors pinned* is not infeasible outright —
-      // tearing everything down frees their resources — so this falls down
-      // the ladder to the full replan instead of answering Infeasible.
-      r.preflight_rejected = true;
-      preflight_rejections_->add(1);
-      preflight_skip = true;
-      r.failure = std::string(verdict.code) + " " + verdict.reason;
-    }
+  // Infeasible *with the survivors pinned* is not infeasible outright —
+  // tearing everything down frees their resources — so the full replan on
+  // the bare damaged network, at full capacities and undiscounted costs,
+  // relaxes the repair rung.
+  std::vector<Rung> rungs{
+      {[&rcp]() -> const model::CompiledProblem& { return rcp; }, request.mode,
+       LadderStep::Primary, false}};
+  if (request.degrade) {
+    rungs.push_back({bare_problem, request.mode, LadderStep::FullReplan, true});
   }
-
-  // Ladder budget split, as in process_inner: the repair attempt gets
-  // primary_fraction of the remaining budget, the reserve funds the full
-  // replan on the damaged network.
-  const std::int64_t t_end = request.stop.deadline_epoch_ns();
-  const bool can_replan = request.degrade.enabled;
-  if (can_replan && t_end != 0 && request.degrade.primary_fraction > 0.0 &&
-      request.degrade.primary_fraction < 1.0) {
-    const std::int64_t now = StopSource::now_epoch_ns();
-    if (t_end > now) {
-      const auto slice = static_cast<std::int64_t>(
-          static_cast<double>(t_end - now) * request.degrade.primary_fraction);
-      request.stop.arm_deadline_at_ns(now + slice);
-    }
-  }
-
-  auto attempt_on = [&](const model::CompiledProblem& target) {
-    core::PlannerOptions opt;
-    opt.mode = request.mode;
-    opt.stop = token;
-    opt.progress_every = request.progress_every;
-    opt.progress = request.progress;
-    opt.anytime = request.degrade.enabled;
-    core::Sekitei planner(target, opt);
-    if (request.validate) {
-      sim::Executor exec(target);
-      return planner.plan([&](const core::Plan& p) { return exec.execute(p).feasible; });
-    }
-    return planner.plan();
-  };
-
-  auto adopt_plan = [&](core::PlanResult& result, const model::CompiledProblem& target) {
-    r.plan_text = result.plan->str(target);
-    r.plan = std::move(result.plan);
+  run_ladder(request, r, rungs, [&](const model::CompiledProblem& target) {
     count_churn(target, *r.plan, cp, spec.prior_plan, survivors, r);
     r.repair_cost = r.plan->cost_lb + spec.migration_penalty * r.migrations;
-    if (request.echo_plan) {
-      r.plan_steps.clear();
-      r.plan_steps.reserve(r.plan->steps.size());
-      for (const ActionId aid : r.plan->steps) r.plan_steps.push_back(aid.index());
-      sim::Executor echo_exec(target);
-      const sim::ExecutionReport echoed = echo_exec.execute(*r.plan);
-      if (echoed.feasible) r.choices = echoed.choices;
-    }
-  };
-
-  // Deterministic mid-repair failure for tests and the CI fault matrix: Fail
-  // mode behaves exactly like the repair search's budget slice expiring with
-  // no incumbent in hand, driving the FullReplan rung below.
-  const bool fault_cut = SEKITEI_FAULT_POINT("repair.plan");
-
-  Stopwatch watch;
-  core::PlanResult result;
-  if (!preflight_skip && !fault_cut) {
-    trace::Span repair_span("service.repair_search", "service");
-    result = attempt_on(rcp);
-    r.failure = result.failure;
-  }
-  r.solve_ms = watch.elapsed_ms();
-  r.stats = result.stats;
-
-  if (result.plan && !result.stats.stopped) {
-    adopt_plan(result, rcp);
-    r.outcome = Outcome::Solved;
-    r.ladder = LadderStep::Primary;
-    r.repaired = true;
-    r.failure.clear();
-    return;
-  }
-  if (result.plan) {
-    // Rung 2: the stopped repair search held a replay-validated incumbent.
-    adopt_plan(result, rcp);
-    r.outcome = Outcome::Degraded;
-    r.ladder = LadderStep::AnytimeIncumbent;
-    r.repaired = true;
-    char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  "%s fired mid-repair; returning best incumbent (cost %.3f, open lower "
-                  "bound %.3f)",
-                  stop_reason_name(token.reason()), r.stats.incumbent_cost,
-                  r.stats.open_cost_lb);
-    r.failure = buf;
-    return;
-  }
-  if (result.stats.stopped && token.reason() == StopReason::Cancelled) {
-    r.outcome = Outcome::Cancelled;
-    return;
-  }
-
-  // Rung 3 (FullReplan): the repair could not answer — infeasible with the
-  // survivors pinned, budget slice expired without an incumbent, or cut
-  // short by the repair.plan fault — so replan from scratch on the damaged
-  // network at full capacities and undiscounted costs.
-  r.outcome = (fault_cut || result.stats.stopped) ? Outcome::DeadlineExceeded
-                                                  : Outcome::Infeasible;
-  if (!can_replan) return;
-  if (t_end != 0) {
-    const std::int64_t now = StopSource::now_epoch_ns();
-    if (t_end <= now) return;  // budget already gone
-    std::int64_t budget = t_end - now;
-    if (request.degrade.greedy_fraction > 0.0 && request.degrade.greedy_fraction < 1.0) {
-      budget = static_cast<std::int64_t>(static_cast<double>(budget) *
-                                         request.degrade.greedy_fraction);
-    }
-    request.stop.arm_deadline_at_ns(now + std::max<std::int64_t>(budget, 1));
-  }
-  trace::Span replan_span("service.full_replan", "service");
-  Stopwatch fb;
-  if (!bcp) {
-    bcp.emplace(model::compile(fresh, cp.scenario));
-    analysis::attach_symmetry(*bcp);
-  }
-  const model::CompiledProblem& fcp = *bcp;
-  core::PlanResult replanned = attempt_on(fcp);
-  r.fallback_ms = fb.elapsed_ms();
-  r.solve_ms = watch.elapsed_ms();
-  if (replanned.plan) {
-    r.stats = replanned.stats;
-    r.symmetry_classes = fcp.symmetric_class_count;
-    adopt_plan(replanned, fcp);
-    r.outcome = Outcome::Degraded;
-    r.ladder = LadderStep::FullReplan;
-    r.repaired = false;
-    char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  "repair could not answer within its budget; full replan on the damaged "
-                  "network (cost lb %.3f)",
-                  r.plan->cost_lb);
-    r.failure = buf;
-  } else if (replanned.stats.stopped && token.reason() == StopReason::Cancelled) {
-    r.outcome = Outcome::Cancelled;
-    r.stats = replanned.stats;
-  } else if (!replanned.stats.stopped) {
-    // Both the pinned-survivors repair and the from-scratch replan ran to
-    // completion without a plan: the damaged instance is infeasible.
-    r.outcome = Outcome::Infeasible;
-    r.stats = replanned.stats;
-    r.failure = replanned.failure;
-  }
+  });
 }
 
 }  // namespace sekitei::service

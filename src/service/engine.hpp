@@ -7,12 +7,13 @@
 //   service::PlanResponse r = ticket.response.get();
 //
 // Per request the worker: (1) computes the content fingerprint and asks the
-// sharded LRU compiled-problem cache, compiling only on a miss; (2) runs the
-// three-phase Sekitei planner against the shared immutable CompiledProblem
-// with the request's stop token plumbed into every phase; (3) walks the
-// graceful-degradation ladder (optimal -> anytime incumbent -> greedy retry
-// on the reserved remainder of the budget, see request.hpp) before
-// classifying the result into an Outcome.  Deadlines and cancellation are
+// sharded LRU compiled-problem cache, compiling only on a miss; (2) builds
+// the request's degradation ladder — [primary, greedy_fallback] for a plain
+// request, [repair, full_replan] for a repair, see request.hpp; (3) runs it
+// through one driver: pre-flight on the first rung, a 60% first-rung share
+// of the deadline, then one three-phase Sekitei search per rung against an
+// immutable CompiledProblem with the request's stop token plumbed into every
+// phase, until a rung answers the Outcome.  Deadlines and cancellation are
 // cooperative: the token is polled at the planner's progress cadence, so
 // responses to a fired deadline arrive within one progress tick, carrying
 // the partial stats accumulated so far.
@@ -30,6 +31,7 @@
 #include <functional>
 #include <future>
 #include <string>
+#include <vector>
 
 #include "service/compiled_cache.hpp"
 #include "service/request.hpp"
@@ -122,11 +124,21 @@ class PlanningEngine {
   /// ladder counters); process_inner() holds the planning logic.
   [[nodiscard]] PlanResponse process(PlanRequest& request, double wait_ms);
   [[nodiscard]] PlanResponse process_inner(PlanRequest& request, double wait_ms);
-  /// The repair path (PlanRequest::repair): survivors-compute, discounted
-  /// repair search, and the FullReplan ladder rung.  Fills `r` in place;
-  /// `cp` is the cached compile of the request's (base) problem.
+  /// The repair path (PlanRequest::repair): the unsurvivable-drift
+  /// certificate, survivors, the discounted repair compile, then the ladder
+  /// [repair, full_replan].  Fills `r` in place; `cp` is the cached compile
+  /// of the request's (base) problem.
   void process_repair(PlanRequest& request, PlanResponse& r,
                       const model::CompiledProblem& cp);
+
+  /// One rung of a degradation ladder (defined in engine.cpp).
+  struct Rung;
+  /// The one ladder driver both request kinds run: pre-flight on the first
+  /// rung, the deadline split, one search per rung, and the verdict.
+  /// `account` (repairs only) is called on every adopted plan with the
+  /// compile it indexes.
+  void run_ladder(PlanRequest& request, PlanResponse& r, const std::vector<Rung>& rungs,
+                  const std::function<void(const model::CompiledProblem&)>& account);
 
   Options options_;
   CompiledProblemCache cache_;

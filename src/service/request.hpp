@@ -8,24 +8,42 @@
 //   infeasible         the planner proved no plan exists (or exhausted its
 //                      own search limits)
 //   degraded           the deadline (or a cancel) cut the search short but a
-//                      feasible plan is still returned: either the anytime
-//                      incumbent of the stopped optimal search or the result
-//                      of a greedy retry on the remaining budget.  `ladder`
-//                      records which rung answered.
+//                      feasible plan is still returned: the anytime incumbent
+//                      of the stopped first rung, or a lower rung's plan.
+//                      `ladder` records which rung answered.
 //   deadline_exceeded  the request's deadline fired before any plan was found
 //   cancelled          StopSource::request_stop() ended the request early
 //   rejected           the engine refused the request (queue full, no problem)
 //
-// The degradation ladder (per-request policy, PlanRequest::degrade):
+// The degradation ladder (PlanRequest::degrade) is a short list of rungs,
+// each one search, run top to bottom by one driver:
 //
-//   optimal search ──found──▶ solved
+//   plain request    primary (requested mode)  ─▶ greedy_fallback (Leveled only)
+//   repair request   primary (repair problem)  ─▶ full_replan (bare damaged net)
+//
+//   first rung ──found──▶ solved
 //        │ stop, incumbent in hand ──▶ degraded (anytime_incumbent)
-//        │ stop, no incumbent
+//        │ no plan, no cancel
 //        ▼
-//   greedy retry on the remaining budget ──found──▶ degraded (greedy_fallback)
+//   next rung ──found──▶ degraded (greedy_fallback / full_replan)
 //        │ nothing
 //        ▼
 //   infeasible / deadline_exceeded
+//
+// A rung *relaxes* the one above it when its feasible set contains the one
+// above's: the full replan frees every survivor's resources, while greedy's
+// worst-case reservation is strictly more conservative than leveling.  That
+// one property decides the ladder:
+//   - a relaxing rung runs whenever the rung above ends with neither a plan
+//     nor a cancel; a non-relaxing one only rescues a search the deadline
+//     cut short;
+//   - a relaxing rung's "no plan" is the verdict (infeasible when it ran to
+//     completion); a non-relaxing rung's failure leaves the verdict of the
+//     rung above;
+//   - a pre-flight proof against the first rung answers infeasible, unless
+//     the rung below relaxes it — then the first rung is only skipped.
+// With a deadline, the first rung of a multi-rung ladder gets 60% of the
+// remaining budget and each later rung the whole remainder.
 //
 // On deadline_exceeded/cancelled the response still carries the partial
 // PlannerStats accumulated up to the stop — a served client can see how far
@@ -69,37 +87,21 @@ enum class LadderStep : unsigned char {
   Primary,           // the requested (usually optimal) search answered
   AnytimeIncumbent,  // the stopped search's best incumbent plan
   GreedyFallback,    // greedy retry on the remaining budget
-  FullReplan,        // repair could not beat the budget: replanned from
+  FullReplan,        // the repair rung ended without a plan: replanned from
                      // scratch on the damaged network (repair requests only)
 };
 
 [[nodiscard]] const char* ladder_step_name(LadderStep s);
-
-/// Per-request graceful-degradation policy.
-struct DegradePolicy {
-  /// Master switch: when false the request behaves exactly like the pre-
-  /// ladder engine (a fired deadline answers deadline_exceeded, full stop).
-  bool enabled = true;
-  /// Share of the remaining deadline budget granted to the primary (optimal)
-  /// attempt when a greedy fallback is available; the rest is held in
-  /// reserve for the retry.  Values outside (0, 1) give the primary attempt
-  /// everything (no reserve).
-  double primary_fraction = 0.6;
-  /// Allow the greedy retry rung (only taken for Leveled-mode requests).
-  bool greedy_fallback = true;
-  /// Share of the budget remaining *after* the primary attempt stopped that
-  /// the greedy retry may spend.  Values outside (0, 1] mean all of it.
-  double greedy_fraction = 1.0;
-};
 
 /// Repair payload: turns a PlanRequest into a drift-resilient replanning
 /// request.  The engine computes the survivors of `prior_plan` under
 /// `damage` (repair/repair.hpp), plans a minimally-disruptive patch on the
 /// damaged network with RECONNECT/MIGRATE-discounted placement costs, and
 /// reports `repair_cost = plan cost + migration_penalty * migrations`.  When
-/// the repair search cannot answer inside its budget slice, the ladder falls
-/// to a full replan from scratch on the damaged network (LadderStep::
-/// FullReplan) instead of silently shipping nothing.
+/// the repair search ends without a plan (its budget share expired, or the
+/// survivors pinned make it infeasible), the ladder falls to a full replan
+/// from scratch on the damaged network (LadderStep::FullReplan) instead of
+/// silently shipping nothing.
 struct RepairSpec {
   /// The previously shipped plan; action ids index the deterministic compile
   /// of this request's problem.
@@ -150,8 +152,10 @@ struct PlanRequest {
   /// honoured promptly on small problems.
   std::uint64_t progress_every = 1024;
 
-  /// Graceful-degradation ladder policy for this request.
-  DegradePolicy degrade;
+  /// Walk the degradation ladder (see above): anytime incumbents, the
+  /// greedy rescue and the full replan.  When false a fired deadline answers
+  /// deadline_exceeded, full stop.
+  bool degrade = true;
 
   /// Present on repair requests (see RepairSpec).
   std::optional<RepairSpec> repair;
@@ -186,11 +190,14 @@ struct PlanResponse {
   bool cache_hit = false;
   double compile_ms = 0.0;   // grounding+leveling time (0.0 on cache hits)
   double solve_ms = 0.0;     // planner time across every ladder attempt
-  double fallback_ms = 0.0;  // share of solve_ms spent in the greedy retry
+  double fallback_ms = 0.0;  // share of solve_ms spent in the rungs below the first
   double wait_ms = 0.0;      // time spent queued before a worker picked it up
   /// Pre-flight infeasibility analysis (only meaningful when it ran).
   bool preflight_ran = false;
-  bool preflight_rejected = false;  // answered Infeasible without any search
+  /// The pre-flight proved the first rung infeasible: the request answered
+  /// Infeasible without any search — or, on a repair request whose full
+  /// replan relaxes the repair rung, the repair rung was skipped.
+  bool preflight_rejected = false;
   double preflight_ms = 0.0;
   std::uint32_t preflight_sweeps = 0;  // fixpoint sweeps the analysis took
   /// Submission attempts the client made (> 1 after admission-control

@@ -24,6 +24,7 @@
 #include "support/fault.hpp"
 #include "support/json_reader.hpp"
 #include "support/metrics.hpp"
+#include "testing/workload.hpp"
 
 namespace sekitei::service {
 namespace {
@@ -222,6 +223,48 @@ TEST(DriftTest, SurvivableDriftPassesPreflightAndStillRepairs) {
   EXPECT_TRUE(r.repair_preflight_ran);
   EXPECT_FALSE(r.repair_preflight_rejected);
   EXPECT_TRUE(r.repaired);
+}
+
+TEST(DriftTest, PinnedPreflightSkipThenStoppedReplanProvesNothing) {
+  // Generated instance 2 under drift 263 degrades link 6's lbw to 51.255.
+  // The bare damaged network passes the unsurvivable-drift cut, but the
+  // survivor-pinned repair problem fails its pre-flight, so the repair rung
+  // is skipped and the full replan runs into the deadline (unbounded, a
+  // validated leveled replan exhausts 2^21 expansions).  The replan relaxes
+  // the repair rung, so only its answer could prove infeasibility — a
+  // stopped replan proves nothing.
+  const testing::GenInstance gen = testing::generate(2);
+  Solved s;
+  s.problem = model::load_problem(gen.domain_text(), gen.problem_text());
+  PlanningEngine engine({.workers = 1});
+  PlanRequest base;
+  base.problem = s.problem;
+  base.echo_plan = true;
+  s.base = engine.plan(std::move(base));
+  ASSERT_TRUE(s.base.ok()) << s.base.failure;
+
+  const model::CompiledProblem cp = model::compile(s.problem->problem, s.problem->scenario);
+  PlanRequest req =
+      repair_request(s, repair::seeded_drift(cp, prior_from_echo(s.base), /*seed=*/263));
+  req.preflight = true;
+  req.deadline_ms = 200.0;  // any budget the replan cannot finish within
+  const PlanResponse r = engine.plan(std::move(req));
+
+  EXPECT_EQ(r.outcome, Outcome::DeadlineExceeded) << r.failure;
+  EXPECT_EQ(r.ladder, LadderStep::Primary);
+  EXPECT_FALSE(r.repaired);
+  EXPECT_TRUE(r.repair_preflight_ran);
+  EXPECT_FALSE(r.repair_preflight_rejected);
+  // The pinned pre-flight skipped the repair rung: flagged on the wire, but
+  // not counted as a pre-flight answer — the full replan ran.
+  EXPECT_TRUE(r.preflight_rejected);
+  EXPECT_EQ(engine.preflight_rejections(), 0u);
+  // The replan's own stats and failure, with no claim of a proof.
+  EXPECT_TRUE(r.stats.stopped);
+  EXPECT_GT(r.stats.slrg_sets, 0u);
+  EXPECT_GT(r.fallback_ms, 0.0);
+  EXPECT_EQ(r.failure.find("infeasible"), std::string::npos) << r.failure;
+  EXPECT_EQ(r.failure.find("SK001"), std::string::npos) << r.failure;
 }
 
 TEST(DriftTest, RepairMetricsCountOutcomesAndMigrations) {

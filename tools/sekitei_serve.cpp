@@ -236,7 +236,7 @@ int main(int argc, char** argv) {
       req.mode = mode;
       req.deadline_ms = deadline_ms;
       req.validate = validate;
-      req.degrade.enabled = degrade;
+      req.degrade = degrade;
       return req;
     };
 
