@@ -49,7 +49,8 @@ std::string star_problem(int middles) {
   }
   text += "  node cl { cpu 30; }\n";
   for (int i = 1; i <= middles; ++i) {
-    const std::string m = "m" + std::to_string(i);
+    std::string m = "m";
+    m += std::to_string(i);
     text += "  link s " + m + " lan { lbw 150; delay 1; }\n";
     text += "  link " + m + " cl wan { lbw 66; delay 10; }\n";
   }
@@ -76,16 +77,11 @@ std::string star_problem(int middles) {
 
 /// CP solve with the simulator as the acceptance check, like the planner
 /// facade wires it.
-cp::Result solve_cp(const model::CompiledProblem& cp_model, bool symmetry) {
+core::PlanResult solve_cp(const model::CompiledProblem& cp_model, bool symmetry) {
   sim::Executor exec(cp_model);
-  cp::Options opt;
-  opt.symmetry_breaking = symmetry;
-  opt.validate = [&](std::span<const ActionId> steps, double) {
-    core::Plan plan;
-    plan.steps.assign(steps.begin(), steps.end());
-    return exec.execute(plan).feasible;
-  };
-  return cp::solve(cp_model, opt);
+  return cp::solve(cp_model,
+                   {.mode = core::PlannerOptions::Mode::Cp, .symmetry_pruning = symmetry},
+                   [&](const core::Plan& plan) { return exec.execute(plan).feasible; });
 }
 
 int run_star(int middles, int repeats) {
@@ -93,30 +89,30 @@ int run_star(int middles, int repeats) {
                                         star_problem(middles));
   std::vector<double> with_ms, without_ms;
   double with_cost = 0.0, without_cost = 0.0;
-  cp::Stats with_stats, without_stats;
+  core::PlannerStats with_stats, without_stats;
   for (int i = 0; i < repeats; ++i) {
     auto cp_model = model::compile(star->problem, star->scenario);
     analysis::attach_symmetry(cp_model);
     {
       Stopwatch w;
-      const cp::Result r = solve_cp(cp_model, false);
+      const core::PlanResult r = solve_cp(cp_model, false);
       without_ms.push_back(w.elapsed_ms());
       if (!r.ok()) {
         std::printf("star without symmetry found no plan: %s\n", r.failure.c_str());
         return 1;
       }
-      without_cost = r.cost;
+      without_cost = r.plan->cost_lb;
       without_stats = r.stats;
     }
     {
       Stopwatch w;
-      const cp::Result r = solve_cp(cp_model, true);
+      const core::PlanResult r = solve_cp(cp_model, true);
       with_ms.push_back(w.elapsed_ms());
       if (!r.ok()) {
         std::printf("star with symmetry found no plan: %s\n", r.failure.c_str());
         return 1;
       }
-      with_cost = r.cost;
+      with_cost = r.plan->cost_lb;
       with_stats = r.stats;
     }
   }
@@ -129,19 +125,19 @@ int run_star(int middles, int repeats) {
   const double speedup = p50_with > 0.0 ? p50_without / p50_with : 0.0;
   std::printf("star (K=%d middles): cost lb %.2f\n", middles, with_cost);
   std::printf("  cp without symmetry best %8.3f ms  (%llu branches)\n", p50_without,
-              (unsigned long long)without_stats.branches);
+              (unsigned long long)without_stats.rg_expansions);
   std::printf("  cp with    symmetry best %8.3f ms  (%llu branches, %llu pruned)\n",
-              p50_with, (unsigned long long)with_stats.branches,
-              (unsigned long long)with_stats.pruned_symmetry);
+              p50_with, (unsigned long long)with_stats.rg_expansions,
+              (unsigned long long)with_stats.pruned_placements);
   std::printf("  speedup %.2fx\n", speedup);
   benchjson::emit("cp", {benchjson::kv("family", "star"),
                          benchjson::kv("middles", middles),
                          benchjson::kv("repeats", repeats),
                          benchjson::kv("without_best_ms", p50_without),
                          benchjson::kv("with_best_ms", p50_with),
-                         benchjson::kv("without_branches", without_stats.branches),
-                         benchjson::kv("with_branches", with_stats.branches),
-                         benchjson::kv("pruned_symmetry", with_stats.pruned_symmetry),
+                         benchjson::kv("without_branches", without_stats.rg_expansions),
+                         benchjson::kv("with_branches", with_stats.rg_expansions),
+                         benchjson::kv("pruned_symmetry", with_stats.pruned_placements),
                          benchjson::kv("speedup", speedup),
                          benchjson::kv("cost_lb", with_cost)},
                   nullptr);
@@ -160,7 +156,7 @@ int run_table2_row(const char* net_name, const domains::media::Instance& inst,
   const double rg_ms = rg_w.elapsed_ms();
 
   Stopwatch cp_w;
-  const cp::Result bnb = solve_cp(cp_model, true);
+  const core::PlanResult bnb = solve_cp(cp_model, true);
   const double cp_ms = cp_w.elapsed_ms();
 
   if (rg.ok() != bnb.ok()) {
@@ -168,16 +164,16 @@ int run_table2_row(const char* net_name, const domains::media::Instance& inst,
                 rg.ok() ? "solved" : "no plan", bnb.ok() ? "solved" : "no plan");
     return 1;
   }
-  if (rg.ok() && std::abs(rg.plan->cost_lb - bnb.cost) > 1e-6) {
+  if (rg.ok() && std::abs(rg.plan->cost_lb - bnb.plan->cost_lb) > 1e-6) {
     std::printf("%s/%c: costs differ (rg %.3f, cp %.3f)\n", net_name, sc_name,
-                rg.plan->cost_lb, bnb.cost);
+                rg.plan->cost_lb, bnb.plan->cost_lb);
     return 1;
   }
   const double cost = rg.ok() ? rg.plan->cost_lb : 0.0;
   std::printf("  %-5s %c | %11.2f | rg %9.2f ms (%7llu exp) | cp %9.2f ms (%8llu branches)\n",
               net_name, sc_name, cost, rg_ms,
               (unsigned long long)rg.stats.rg_expansions, cp_ms,
-              (unsigned long long)bnb.stats.branches);
+              (unsigned long long)bnb.stats.rg_expansions);
   benchjson::emit("cp", {benchjson::kv("family", "table2"),
                          benchjson::kv("net", net_name),
                          benchjson::kv("scenario", scenario),
@@ -186,7 +182,7 @@ int run_table2_row(const char* net_name, const domains::media::Instance& inst,
                          benchjson::kv("rg_ms", rg_ms),
                          benchjson::kv("cp_ms", cp_ms),
                          benchjson::kv("rg_expansions", rg.stats.rg_expansions),
-                         benchjson::kv("cp_branches", bnb.stats.branches)},
+                         benchjson::kv("cp_branches", bnb.stats.rg_expansions)},
                   nullptr);
   return 0;
 }

@@ -11,78 +11,36 @@
 
 namespace sekitei::core {
 
-namespace {
+Sekitei::Sekitei(const model::CompiledProblem& cp, PlannerOptions options)
+    : cp_(cp), options_(options) {}
 
-/// Folds CP branch-and-bound statistics into the planner stats snapshot.
-/// Field mapping keeps the existing keys (and hence stats_to_json, the
-/// flight recorder and every bench record) unchanged: expansions = visited
-/// nodes, replay = propagation, peak open = peak DFS depth.
-void fold_cp_stats(const cp::Stats& st, PlannerStats& out) {
-  out.rg_expansions = st.branches;
-  out.rg_nodes = st.nodes;
-  out.rg_peak_open = st.peak_depth;
-  out.rg_pruned_by_replay = st.pruned_by_propagation;
-  out.pruned_placements = st.pruned_symmetry;
-  out.replay_calls = st.propagations;
-  out.sim_rejections = st.sim_rejections;
-  out.rg_incumbents = st.incumbents;
-  out.incumbent_cost = st.incumbent_cost;
-  out.logically_unreachable = st.logically_unreachable;
-  out.hit_search_limit = st.hit_node_limit;
-  out.stopped = st.stopped;
-  if (st.stopped || st.hit_node_limit) out.open_cost_lb = st.lower_bound;
-  out.time_graph_ms = st.bound_ms;
-  out.time_search_ms = st.search_ms;
-}
-
-PlanResult plan_cp(const model::CompiledProblem& cp, const PlannerOptions& options,
-                   const std::function<bool(const Plan&)>& validate) {
+PlanResult Sekitei::plan(const PlanValidator& validate) {
+  trace::Span plan_span("planner.plan");
+  bool searched = false;  // the search phase ran (its time histogram only
+                          // sees real runs)
   PlanResult result;
-  result.stats.total_actions = cp.actions.size();
-
-  cp::Options co;
-  co.symmetry_breaking = options.symmetry_pruning;
-  co.forbid_repeated_actions = options.forbid_repeated_actions;
-  co.max_nodes = options.max_rg_expansions;
-  co.progress_every = options.progress_every;
-  co.stop = options.stop;
-  co.anytime = options.anytime;
-  if (validate) {
-    co.validate = [&](std::span<const ActionId> steps, double cost) {
-      Plan candidate;
-      candidate.steps.assign(steps.begin(), steps.end());
-      candidate.cost_lb = cost;
-      return validate(candidate);
-    };
-  }
-  if (options.progress) {
-    co.progress = [&](const cp::Stats& st) {
-      PlannerStats snap = result.stats;
-      fold_cp_stats(st, snap);
-      options.progress(snap);
-    };
+  if (options_.mode == PlannerOptions::Mode::Cp) {
+    result = cp::solve(cp_, options_, validate);
+    searched = !result.stats.logically_unreachable;
+  } else {
+    result = plan_leveled(validate, searched);
   }
 
-  cp::Result r = cp::solve(cp, co);
-  fold_cp_stats(r.stats, result.stats);
-  if (r.ok()) {
-    Plan plan;
-    plan.steps = std::move(*r.steps);
-    plan.cost_lb = r.cost;
-    result.plan = std::move(plan);
-    result.stats.suboptimal_on_stop = !r.stats.proven;
-  }
-  result.failure = std::move(r.failure);
-
+  // Single exit point of every mode: the same metrics and summary line.
+  [[maybe_unused]] const char* mode_name =
+      options_.mode == PlannerOptions::Mode::Cp       ? "cp"
+      : options_.mode == PlannerOptions::Mode::Greedy ? "greedy"
+                                                      : "leveled";
   SEKITEI_METRIC(metrics::registry()
-                     .histogram("planner.graph_ms", {{"mode", "cp"}})
+                     .histogram("planner.graph_ms", {{"mode", mode_name}})
                      .observe(result.stats.time_graph_ms));
-  if (!result.stats.logically_unreachable) {
+  if (searched) {
     SEKITEI_METRIC(metrics::registry()
-                       .histogram("planner.search_ms", {{"mode", "cp"}})
+                       .histogram("planner.search_ms", {{"mode", mode_name}})
                        .observe(result.stats.time_search_ms));
   }
-  SEKITEI_LOG_INFO("core.planner", result.ok() ? "plan found" : "no plan", log::kv("mode", "cp"),
+  SEKITEI_LOG_INFO("core.planner", result.ok() ? "plan found" : "no plan",
+                   log::kv("mode", mode_name),
                    log::kv("plan_actions", result.ok() ? result.plan->size() : 0),
                    log::kv("rg_expansions", result.stats.rg_expansions),
                    log::kv("graph_ms", result.stats.time_graph_ms),
@@ -90,19 +48,9 @@ PlanResult plan_cp(const model::CompiledProblem& cp, const PlannerOptions& optio
   return result;
 }
 
-}  // namespace
-
-Sekitei::Sekitei(const model::CompiledProblem& cp, PlannerOptions options)
-    : cp_(cp), options_(options) {}
-
-PlanResult Sekitei::plan(const std::function<bool(const Plan&)>& validate) {
-  if (options_.mode == PlannerOptions::Mode::Cp) {
-    trace::Span plan_span("planner.plan");
-    return plan_cp(cp_, options_, validate);
-  }
+PlanResult Sekitei::plan_leveled(const PlanValidator& validate, bool& searched) {
   PlanResult result;
   result.stats.total_actions = cp_.actions.size();
-  trace::Span plan_span("planner.plan");
   Stopwatch watch;
 
   const std::vector<double> cost =
@@ -114,17 +62,10 @@ PlanResult Sekitei::plan(const std::function<bool(const Plan&)>& validate) {
 
   // Phase 2 oracle; constructed up front so that every exit path below can
   // report the same stats snapshot through `finish`.
-  SlrgLimits slrg_limits;
-  slrg_limits.max_sets = options_.max_slrg_sets;
-  slrg_limits.symmetry_pruning = options_.symmetry_pruning;
-  Slrg slrg(cp_, plrg, cost, slrg_limits, options_.stop);
+  Slrg slrg(cp_, plrg, cost, options_);
 
-  // Single exit point: whatever path ends the plan() call, the stats carry
-  // the same complete snapshot (graph sizes, memo counters, limit flags).
-  [[maybe_unused]] const char* mode_name =
-      options_.mode == PlannerOptions::Mode::Greedy ? "greedy" : "leveled";
-  [[maybe_unused]] bool searched = false;  // phase 3 ran (its time histogram
-                                           // only sees real runs)
+  // Whatever path ends the search, the stats carry the same complete
+  // snapshot (graph sizes, memo counters, limit flags).
   auto finish = [&](std::string failure) -> PlanResult {
     result.stats.plrg_props = plrg.prop_nodes();
     result.stats.plrg_actions = plrg.action_nodes();
@@ -134,20 +75,6 @@ PlanResult Sekitei::plan(const std::function<bool(const Plan&)>& validate) {
     result.stats.pruned_placements += slrg.symmetry_pruned();
     result.stats.hit_search_limit = result.stats.hit_search_limit || slrg.hit_limit();
     result.failure = std::move(failure);
-    SEKITEI_METRIC(metrics::registry()
-                       .histogram("planner.graph_ms", {{"mode", mode_name}})
-                       .observe(result.stats.time_graph_ms));
-    if (searched) {
-      SEKITEI_METRIC(metrics::registry()
-                         .histogram("planner.search_ms", {{"mode", mode_name}})
-                         .observe(result.stats.time_search_ms));
-    }
-    SEKITEI_LOG_INFO("core.planner", result.ok() ? "plan found" : "no plan",
-                     log::kv("mode", mode_name),
-                     log::kv("plan_actions", result.ok() ? result.plan->size() : 0),
-                     log::kv("rg_expansions", result.stats.rg_expansions),
-                     log::kv("graph_ms", result.stats.time_graph_ms),
-                     log::kv("search_ms", result.stats.time_search_ms));
     return std::move(result);
   };
 
@@ -194,21 +121,11 @@ PlanResult Sekitei::plan(const std::function<bool(const Plan&)>& validate) {
   // Phase 3: the main regression graph with optimistic-map replay.
   watch.restart();
   Rg rg(cp_, slrg, plrg, cost);
-  Rg::Options rg_opts;
-  rg_opts.max_expansions = options_.max_rg_expansions;
-  rg_opts.forbid_repeated_actions = options_.forbid_repeated_actions;
-  rg_opts.symmetry_pruning = options_.symmetry_pruning;
-  rg_opts.replay_mode = options_.mode == PlannerOptions::Mode::Greedy ? ReplayMode::WorstCase
-                                                                      : ReplayMode::Optimistic;
-  rg_opts.progress = options_.progress;
-  rg_opts.progress_every = options_.progress_every;
-  rg_opts.stop = options_.stop;
-  rg_opts.anytime = options_.anytime;
   searched = true;
   std::optional<Plan> plan;
   {
     trace::Span span("rg.search", "search");
-    plan = rg.search(goal_set, rg_opts, validate, result.stats);
+    plan = rg.search(goal_set, options_, validate, result.stats);
   }
   result.stats.time_search_ms = watch.elapsed_ms();
 

@@ -8,80 +8,25 @@
 //   if (r.plan) std::cout << r.plan->str(cp);
 #pragma once
 
-#include <functional>
-#include <optional>
-#include <string>
-
-#include "core/plan.hpp"
-#include "core/stats.hpp"
+#include "core/contract.hpp"
 #include "model/compile.hpp"
-#include "support/stop_token.hpp"
 
 namespace sekitei::core {
-
-struct PlannerOptions {
-  enum class Mode {
-    Leveled,  // the paper's contribution: cost-optimal leveled planning
-    Greedy,   // original Sekitei: plan-length costs + worst-case reservation
-    Cp,       // in-house CP branch-and-bound backend (src/cp): same leveled
-              // model and cost metric, independent search — proves the same
-              // optimum as Leveled, with lex-leader symmetry breaking
-  };
-  Mode mode = Mode::Leveled;
-
-  /// Phase-3 work budget: A* expansions under Leveled/Greedy, visited
-  /// branch-and-bound nodes under Cp.
-  std::uint64_t max_rg_expansions = 1u << 21;
-  std::uint64_t max_slrg_sets = 2u << 20;
-  bool forbid_repeated_actions = true;
-  /// Canonical-representative pruning over the node symmetry partition the
-  /// analysis layer attaches to the compiled problem (RG and SLRG; see
-  /// Rg::Options::symmetry_pruning).  Plans and costs are unchanged — only
-  /// which of several interchangeable twins appears in them.  Ignored (a
-  /// no-op) when no partition is attached.
-  bool symmetry_pruning = true;
-
-  /// Progress observer: invoked from inside the RG search every
-  /// `progress_every` expansions with a live snapshot of the statistics so
-  /// far (rg_open_left reflects the current open list).  The reference is
-  /// only valid during the call.  Observation only — to end the search early
-  /// use `stop` (the observer may call StopSource::request_stop()).
-  std::function<void(const PlannerStats&)> progress;
-  std::uint64_t progress_every = 8192;
-
-  /// Cooperative stop: polled between phases and inside each phase's loop at
-  /// the progress cadence.  On stop the planner returns without a plan,
-  /// stats.stopped is set, and the stats carry whatever counters the
-  /// completed work produced (a partial snapshot).  Deadlines and explicit
-  /// cancellation both arrive through this token (support/stop_token.hpp).
-  StopToken stop;
-
-  /// Anytime planning: when a stop token is armed and the stop fires (or the
-  /// RG expansion budget runs out) after the search has already seen a
-  /// feasible plan, return that incumbent — replay-validated, flagged
-  /// stats.suboptimal_on_stop with its cost and the best open lower bound —
-  /// instead of discarding it.  Runs without a stop token are unaffected.
-  bool anytime = true;
-};
-
-struct PlanResult {
-  std::optional<Plan> plan;
-  PlannerStats stats;
-  std::string failure;  // human-readable reason when !plan
-
-  [[nodiscard]] bool ok() const { return plan.has_value(); }
-};
 
 class Sekitei {
  public:
   explicit Sekitei(const model::CompiledProblem& cp, PlannerOptions options = {});
 
-  /// Runs the three phases (PLRG -> SLRG -> RG).  `validate`, when given,
-  /// concretely checks candidate plans (the simulator hook); rejected
-  /// candidates resume the search, so a returned plan is always executable.
-  [[nodiscard]] PlanResult plan(const std::function<bool(const Plan&)>& validate = {});
+  /// Runs the three phases (PLRG -> SLRG -> RG), or the CP backend under
+  /// Mode::Cp.  `validate`, when given, concretely checks candidate plans
+  /// (the simulator hook); rejected candidates resume the search, so a
+  /// returned plan is always executable.
+  [[nodiscard]] PlanResult plan(const PlanValidator& validate = {});
 
  private:
+  /// The three phases; `searched` reports whether phase 3 ran.
+  [[nodiscard]] PlanResult plan_leveled(const PlanValidator& validate, bool& searched);
+
   const model::CompiledProblem& cp_;
   PlannerOptions options_;
 };

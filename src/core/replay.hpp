@@ -6,7 +6,7 @@
 //
 // The replay step itself (merge, condition check and narrowing, effects)
 // lives in model/interval_replay.hpp, below both search backends: RG replay
-// here and CP propagation (cp/propagate.hpp) run the same code, so they
+// here and CP propagation (cp/search.cpp) run the same code, so they
 // accept exactly the same tails.  The Replayer adds what only the RG needs:
 // the `replay.validate` fault point on acceptance replays and a trace-level
 // record of each prune.

@@ -46,8 +46,9 @@ void Rg::append_tail(std::uint32_t idx, std::vector<ActionId>& out) const {
   }
 }
 
-std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Options& options,
-                               const Validator& validate, PlannerStats& stats) {
+std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set,
+                               const PlannerOptions& options, const PlanValidator& validate,
+                               PlannerStats& stats) {
   struct Open {
     double f;
     double g;
@@ -58,6 +59,9 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
     }
   };
   std::priority_queue<Open> open;
+  const ReplayMode replay_mode = options.mode == PlannerOptions::Mode::Greedy
+                                     ? ReplayMode::WorstCase
+                                     : ReplayMode::Optimistic;
   Replayer replayer(cp_);
   pool_.clear();
   // Buffers reused across expansions, so the hot loop allocates only the
@@ -85,22 +89,19 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
   // on the optimal cost, reported next to the incumbent's cost).
   double frontier_lb = kInf;
 
-  // One combined cadence for the progress observer and the trace counters;
-  // checked with a single comparison per expansion so an idle observer adds
-  // nothing measurable to the search.
-  const std::uint64_t tick_every = std::max<std::uint64_t>(1, options.progress_every);
+  const ProgressTick tick(options, "core.rg");
 
   while (!open.empty()) {
     const Open cur = open.top();
     open.pop();
     const Node& nd = pool_[cur.node];
     ++stats.rg_expansions;
-    if (stats.rg_expansions > options.max_expansions) {
+    if (stats.rg_expansions > options.max_rg_expansions) {
       stats.hit_search_limit = true;
       frontier_lb = open.empty() ? cur.f : std::min(cur.f, open.top().f);
       break;
     }
-    if (stats.rg_expansions % tick_every == 0) {
+    if (tick.due(stats)) {
       stats.rg_open_left = open.size();
       stats.replay_calls = replayer.calls();
       // Live frontier bound for observers (the flight recorder's "best f"):
@@ -108,21 +109,10 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
       // lower bound a stop would report.  Refreshed only under anytime
       // tracking, so stop-free runs report byte-identical stats.
       if (anytime) stats.open_cost_lb = cur.f;
-      if (trace::collector()) {
-        trace::counter("rg.expansions", static_cast<double>(stats.rg_expansions));
-        trace::counter("rg.nodes", static_cast<double>(stats.rg_nodes));
-        trace::counter("rg.open", static_cast<double>(open.size()));
-        trace::counter("rg.pruned_by_replay", static_cast<double>(stats.rg_pruned_by_replay));
-      }
-      SEKITEI_LOG_TRACE("core.rg", "progress", log::kv("expansions", stats.rg_expansions),
-                        log::kv("nodes", stats.rg_nodes), log::kv("open", stats.rg_open_left),
-                        log::kv("f", cur.f));
-      if (options.progress) options.progress(stats);
-      // Checked *after* the observer so a stop it requests takes effect this
-      // very iteration — before the goal test below can pop the proven
-      // optimum and moot the stop (observers stop-on-first-incumbent).
-      if (options.stop.stop_requested()) {
-        stats.stopped = true;
+      // A stop the observer requests ends the search this very iteration —
+      // before the goal test below can pop the proven optimum and moot the
+      // stop (observers stop-on-first-incumbent).
+      if (tick.sample(stats, open.size(), cur.f)) {
         frontier_lb = open.empty() ? cur.f : std::min(cur.f, open.top().f);
         break;
       }
@@ -136,7 +126,7 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
     // Goal test: all propositions hold initially and the tail executes in
     // the initial-state resource map.
     if (sorted_subset(nd.state, cp_.init_props)) {
-      if (replayer.replay(cur_tail, /*from_init=*/true, options.replay_mode)) {
+      if (replayer.replay(cur_tail, /*from_init=*/true, replay_mode)) {
         Plan plan;
         plan.steps.assign(cur_tail.begin(), cur_tail.end());
         plan.cost_lb = cur.g;
@@ -200,8 +190,11 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
     for (ActionId a : cands) {
       // Canonical ordering of adjacent independent actions: `a` executes
       // right before this node's action; if they commute, only explore the
-      // ascending-id order.
-      if (options.commutativity_pruning && pool_[cur.node].action.valid()) {
+      // ascending-id order.  Any plan has an equivalent canonical reordering
+      // (adjacent independent swaps preserve the replay outcome exactly), so
+      // completeness is kept while the factorial interleavings of parallel
+      // stream chains collapse.
+      if (pool_[cur.node].action.valid()) {
         const ActionId b = pool_[cur.node].action;
         if (a > b && independent(a, b)) continue;
       }
@@ -212,10 +205,10 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
           continue;
         }
       }
-      if (options.forbid_repeated_actions &&
-          std::find(cur_tail.begin(), cur_tail.end(), a) != cur_tail.end()) {
-        continue;
-      }
+      // Never the same ground action twice in one tail: keeps the tree
+      // finite even in pathological cost structures, and no stream-delivery
+      // plan benefits from repeating an identical leveled action.
+      if (std::find(cur_tail.begin(), cur_tail.end(), a) != cur_tail.end()) continue;
       std::vector<PropId> nxt = regress_set(cp_, pool_[cur.node].state, a);
       if (nxt == pool_[cur.node].state) continue;
       const double h = slrg_.estimate(nxt);
@@ -226,7 +219,7 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
       const std::uint32_t child = static_cast<std::uint32_t>(pool_.size());
       pool_.push_back(Node{a, cur.node, std::move(nxt), cur.g + cost_[a.index()]});
       tail[0] = a;
-      if (!replayer.replay(tail, /*from_init=*/false, options.replay_mode)) {
+      if (!replayer.replay(tail, /*from_init=*/false, replay_mode)) {
         ++stats.rg_pruned_by_replay;
         pool_.pop_back();
         continue;
@@ -242,7 +235,7 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
       // can still answer with a plan.
       if (anytime && (!incumbent.have || pool_[child].g < incumbent.g) &&
           sorted_subset(pool_[child].state, cp_.init_props) &&
-          replayer.replay(tail, /*from_init=*/true, options.replay_mode)) {
+          replayer.replay(tail, /*from_init=*/true, replay_mode)) {
         bool accepted = true;
         if (validate) {
           Plan candidate;
@@ -270,7 +263,7 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
   if (incumbent.have && (stats.stopped || stats.hit_search_limit)) {
     std::vector<ActionId> steps;
     append_tail(incumbent.node, steps);
-    if (replayer.replay(steps, /*from_init=*/true, options.replay_mode)) {
+    if (replayer.replay(steps, /*from_init=*/true, replay_mode)) {
       stats.replay_calls = replayer.calls();
       stats.suboptimal_on_stop = true;
       stats.incumbent_cost = incumbent.g;

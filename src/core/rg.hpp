@@ -15,72 +15,36 @@
 // validation, e.g. the simulator).
 #pragma once
 
-#include <functional>
 #include <optional>
 
-#include "core/plan.hpp"
+#include "core/contract.hpp"
 #include "core/replay.hpp"
 #include "core/slrg.hpp"
-#include "core/stats.hpp"
-#include "support/stop_token.hpp"
 
 namespace sekitei::core {
 
 class Rg {
  public:
-  struct Options {
-    std::uint64_t max_expansions = 1u << 20;
-    /// Forbid the exact same ground action twice in one tail.  Keeps the
-    /// tree finite even in pathological cost structures; no stream-delivery
-    /// plan benefits from repeating an identical leveled action.
-    bool forbid_repeated_actions = true;
-    /// Commutativity pruning: when two adjacent actions in a tail touch
-    /// disjoint resources and neither supports the other's preconditions,
-    /// only the ActionId-ascending order is explored.  Any plan has an
-    /// equivalent canonical reordering (adjacent independent swaps preserve
-    /// the replay outcome exactly), so completeness is kept while the
-    /// factorial interleavings of parallel stream chains collapse.
-    bool commutativity_pruning = true;
-    /// Symmetry (canonical-representative) pruning: when the compiled
-    /// problem carries a verified node partition (analysis::attach_symmetry),
-    /// a candidate that introduces a node unused by the tail-so-far is
-    /// skipped whenever a smaller-index interchangeable twin is also still
-    /// unused — the twin's branch is an automorphism image of this one at
-    /// identical cost.  No-op on problems without an attached partition.
-    bool symmetry_pruning = true;
-    /// Replay semantics for both search-time tail replays and the final
-    /// initial-state check.  WorstCase reproduces the greedy baseline.
-    ReplayMode replay_mode = ReplayMode::Optimistic;
-    /// Observer invoked every `progress_every` expansions with the live
-    /// stats snapshot (see PlannerOptions::progress).
-    std::function<void(const PlannerStats&)> progress;
-    std::uint64_t progress_every = 8192;
-    /// Cooperative stop (deadline/cancellation), polled at the same
-    /// `progress_every` cadence — the hot expansion loop pays no extra cost.
-    /// On stop the search returns no plan and sets stats.stopped.
-    StopToken stop;
-    /// Anytime mode: record the best feasible plan (replayed from the
-    /// initial state and validated) as goal-satisfying children are
-    /// generated; when the stop token fires — or the expansion budget runs
-    /// out — before optimality is proven, return that incumbent flagged
-    /// stats.suboptimal_on_stop instead of nothing.  Only active while a
-    /// stop can actually fire (stop.stop_possible()), so unstoppable runs
-    /// do byte-identical work to a non-anytime search.
-    bool anytime = true;
-  };
-
-  /// `validate` (optional) gets the candidate plan after it replays from the
-  /// initial state; returning false rejects it and resumes the search.
-  using Validator = std::function<bool(const Plan&)>;
-
   /// `cost` is the per-action cost table (action_costs()); it must outlive
   /// the Rg.
   Rg(const model::CompiledProblem& cp, Slrg& slrg, const Plrg& plrg,
      std::span<const double> cost);
 
+  /// Reads the budget (max_rg_expansions), symmetry_pruning, the progress
+  /// cadence, stop and anytime from `options`; Greedy mode replays
+  /// WorstCase, every other mode Optimistic.  `validate` (optional) gets the
+  /// candidate plan after it replays from the initial state; returning false
+  /// rejects it and resumes the search.
+  ///
+  /// Anytime mode records the best feasible plan (replayed from the initial
+  /// state and validated) as goal-satisfying children are generated; when
+  /// the stop fires — or the expansion budget runs out — before optimality
+  /// is proven, it returns that incumbent flagged stats.suboptimal_on_stop.
+  /// Only active while a stop can actually fire (stop.stop_possible()), so
+  /// unstoppable runs do byte-identical work to a non-anytime search.
   [[nodiscard]] std::optional<Plan> search(const std::vector<PropId>& goal_set,
-                                           const Options& options, const Validator& validate,
-                                           PlannerStats& stats);
+                                           const PlannerOptions& options,
+                                           const PlanValidator& validate, PlannerStats& stats);
 
  private:
   struct Node {

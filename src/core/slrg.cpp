@@ -34,8 +34,13 @@ std::vector<PropId> regress_set(const model::CompiledProblem& cp,
 }
 
 Slrg::Slrg(const model::CompiledProblem& cp, const Plrg& plrg, std::span<const double> cost,
-           Limits limits, StopToken stop)
-    : cp_(cp), plrg_(plrg), cost_(cost), limits_(limits), stop_(std::move(stop)) {}
+           const PlannerOptions& options)
+    : cp_(cp),
+      plrg_(plrg),
+      cost_(cost),
+      max_sets_(options.max_slrg_sets),
+      symmetry_pruning_(options.symmetry_pruning),
+      stop_(options.stop) {}
 
 void Slrg::harvest(std::unordered_map<std::vector<PropId>, double, SetHash>& best_g,
                    double query_result) {
@@ -67,7 +72,7 @@ double Slrg::estimate(const std::vector<PropId>& set) {
     return std::max(base, it->second);
   }
   ++memo_misses_;
-  if (generated_ >= limits_.max_sets) {
+  if (generated_ >= max_sets_) {
     hit_limit_ = true;
     return base;  // admissible fallback, not memoized as exact
   }
@@ -76,10 +81,9 @@ double Slrg::estimate(const std::vector<PropId>& set) {
   // problem's logical shell is too wide for exact set costs to pay off
   // (e.g. uniform-cost scenario B); later queries then run on a shoestring
   // and the RG leans on the PLRG bounds plus the harvested weak bounds.
-  const std::uint64_t per_query =
-      first_query_ ? limits_.max_sets_first_query : limits_.max_sets_per_query;
+  const std::uint64_t per_query = first_query_ ? kMaxSetsFirstQuery : kMaxSetsPerQuery;
   first_query_ = false;
-  const std::uint64_t query_budget = std::min(limits_.max_sets - generated_, per_query);
+  const std::uint64_t query_budget = std::min(max_sets_ - generated_, per_query);
   std::uint64_t query_generated = 0;
 
   // A* graph search from `set` toward the initial state in the resource-free
@@ -148,7 +152,7 @@ double Slrg::estimate(const std::vector<PropId>& set) {
     // the transposition swapping the two fixes cur_props and the initial
     // state (pinned nodes are singletons), so the canonical branch achieves
     // the same minimal logical cost — estimates stay exact.
-    const bool sym = limits_.symmetry_pruning && cp_.symmetric_class_count > 0;
+    const bool sym = symmetry_pruning_ && cp_.symmetric_class_count > 0;
     std::vector<char> used;
     if (sym) {
       used.assign(cp_.net->node_count(), 0);

@@ -22,41 +22,33 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/contract.hpp"
 #include "core/plrg.hpp"
 #include "model/compile.hpp"
-#include "support/stop_token.hpp"
 
 namespace sekitei::core {
 
-struct SlrgLimits {
-  /// Global budget on set nodes across all oracle queries.
-  std::uint64_t max_sets = 8u << 20;
+class Slrg {
+ public:
   /// Budget for a single query.  A query that exhausts it still returns an
   /// admissible bound (the smallest f left in its open list) and the result
   /// is negatively cached, so no set is ever searched expensively twice.
-  std::uint64_t max_sets_per_query = 20000;
+  static constexpr std::uint64_t kMaxSetsPerQuery = 20000;
   /// Budget for the very first query (the goal set): it seeds the exact and
   /// weak caches that all later queries and the whole RG lean on, so it is
   /// worth a much deeper search.
-  std::uint64_t max_sets_first_query = 256u << 10;
-  /// Canonical-representative pruning over the compiled problem's attached
-  /// node partition (see Rg::Options::symmetry_pruning).  Estimates stay
-  /// exact: a twin transposition fixes the queried set and the initial
-  /// state, so the canonical branch costs exactly the same.
-  bool symmetry_pruning = true;
-};
+  static constexpr std::uint64_t kMaxSetsFirstQuery = 256u << 10;
 
-class Slrg {
- public:
-  using Limits = SlrgLimits;
-
-  /// `stop` (optional) is polled every 1024 generated set nodes; a stopped
-  /// query ends like a budget-exhausted one — it returns the admissible
-  /// frontier bound so the caller's search stays sound while it winds down.
-  /// `cost` is the per-action cost table (action_costs()); it must outlive
-  /// the Slrg.
+  /// Reads the global set budget (max_slrg_sets), symmetry_pruning and stop
+  /// from `options`.  Symmetry pruning keeps estimates exact: a twin
+  /// transposition fixes the queried set and the initial state, so the
+  /// canonical branch costs exactly the same.  `stop` is polled every 1024
+  /// generated set nodes; a stopped query ends like a budget-exhausted one —
+  /// it returns the admissible frontier bound so the caller's search stays
+  /// sound while it winds down.  `cost` is the per-action cost table
+  /// (action_costs()); it must outlive the Slrg.
   Slrg(const model::CompiledProblem& cp, const Plrg& plrg, std::span<const double> cost,
-       Limits limits = Limits{}, StopToken stop = {});
+       const PlannerOptions& options = {});
 
   /// Exact minimal logical cost of achieving `set` from the initial state;
   /// +inf when logically impossible.  Falls back to the (admissible but
@@ -94,7 +86,8 @@ class Slrg {
   const model::CompiledProblem& cp_;
   const Plrg& plrg_;
   std::span<const double> cost_;
-  Limits limits_;
+  std::uint64_t max_sets_;
+  bool symmetry_pruning_;
   StopToken stop_;
   std::unordered_map<std::vector<PropId>, double, SetHash> exact_;
   /// Admissible lower bounds for sets whose search hit the per-query budget.

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "cp/bound.hpp"
-#include "cp/propagate.hpp"
+#include "model/interval_replay.hpp"
 #include "support/log.hpp"
 #include "support/sorted_vec.hpp"
 #include "support/timer.hpp"
@@ -28,10 +28,18 @@ std::vector<PropId> regress(const model::CompiledProblem& cp, const std::vector<
 
 class Search {
  public:
-  Search(const model::CompiledProblem& cp, const Options& options, Bound& bound)
-      : cp_(cp), opt_(options), bound_(bound), prop_(cp) {}
+  Search(const model::CompiledProblem& cp, const core::PlannerOptions& options,
+         const core::PlanValidator& validate, Bound& bound, core::PlannerStats& stats)
+      : cp_(cp),
+        opt_(options),
+        validate_(validate),
+        bound_(bound),
+        prop_(cp),
+        st_(stats),
+        tick_(options, "cp.search") {}
 
-  Result run();
+  /// Fills `r` (plan, failure, the search's stats and time_search_ms).
+  void run(core::PlanResult& r);
 
  private:
   struct Node {
@@ -57,10 +65,12 @@ class Search {
   void enter(std::uint32_t idx);
 
   const model::CompiledProblem& cp_;
-  const Options& opt_;
+  const core::PlannerOptions& opt_;
+  const core::PlanValidator& validate_;
   Bound& bound_;
-  Propagator prop_;
-  Stats st_;
+  model::IntervalReplay prop_;  // propagation: the optimistic replay step
+  core::PlannerStats& st_;
+  const core::ProgressTick tick_;
 
   std::vector<Node> pool_;
   std::vector<Frame> stack_;
@@ -77,7 +87,6 @@ class Search {
 
   bool abort_ = false;
   double current_f_ = 0.0;  // f of the subtree being entered (frontier part)
-  std::uint64_t tick_every_ = 1;
 
   // Iterative cost bounding: each DFS pass explores only f <= threshold_;
   // min_exceed_ collects the smallest f cut off, becoming the next
@@ -118,20 +127,15 @@ void Search::append_tail(std::uint32_t idx, std::vector<ActionId>& out) const {
 }
 
 void Search::enter(std::uint32_t idx) {
-  ++st_.branches;
-  if (st_.branches > opt_.max_nodes) {
-    st_.hit_node_limit = true;
+  ++st_.rg_expansions;
+  if (st_.rg_expansions > opt_.max_rg_expansions) {
+    st_.hit_search_limit = true;
     abort_ = true;
     return;
   }
-  if (st_.branches % tick_every_ == 0) {
-    st_.propagations = prop_.calls();
-    SEKITEI_LOG_TRACE("cp.search", "progress", log::kv("branches", st_.branches),
-                      log::kv("nodes", st_.nodes), log::kv("depth", stack_.size()),
-                      log::kv("f", current_f_));
-    if (opt_.progress) opt_.progress(st_);
-    if (opt_.stop.stop_requested()) {
-      st_.stopped = true;
+  if (tick_.due(st_)) {
+    st_.replay_calls = prop_.calls();
+    if (tick_.sample(st_, stack_.size(), current_f_)) {
       abort_ = true;
       return;
     }
@@ -149,32 +153,37 @@ void Search::enter(std::uint32_t idx) {
   // propagates from the initial store.  Bound pruning at the parent already
   // guarantees g < incumbent here, so any accepted assignment improves.
   if (sorted_subset(state, cp_.init_props)) {
-    if (prop_.propagate(tail, /*from_init=*/true)) {
+    if (prop_.run(tail, /*from_init=*/true, model::ReplayMode::Optimistic)) {
       bool accepted = true;
-      if (opt_.validate) accepted = opt_.validate(tail, g);
+      if (validate_) {
+        core::Plan candidate;
+        candidate.steps.assign(tail.begin(), tail.end());
+        candidate.cost_lb = g;
+        accepted = validate_(candidate);
+      }
       if (accepted) {
         if (!has_best_ || g < best_g_) {
           has_best_ = true;
           best_g_ = g;
           best_steps_.assign(tail.begin(), tail.end());
-          ++st_.incumbents;
+          ++st_.rg_incumbents;
           st_.incumbent_cost = g;
           SEKITEI_LOG_DEBUG("cp.search", "incumbent recorded", log::kv("cost", g),
                             log::kv("steps", best_steps_.size()),
-                            log::kv("branches", st_.branches));
+                            log::kv("branches", st_.rg_expansions));
         }
       } else {
         ++st_.sim_rejections;
       }
     } else {
-      ++st_.pruned_by_propagation;
+      ++st_.rg_pruned_by_replay;
     }
     // A rejected assignment's regressions may still lead somewhere (e.g.
     // produce more of a stream elsewhere), so fall through and branch.
   }
 
   // Lex-leader symmetry state: nodes the assignment so far commits to.
-  const bool sym = opt_.symmetry_breaking && cp_.symmetric_class_count > 0;
+  const bool sym = opt_.symmetry_pruning && cp_.symmetric_class_count > 0;
   if (sym) {
     used_.assign(cp_.net->node_count(), 0);
     for (PropId p : state) used_[cp_.props.key(p).node] = 1;
@@ -205,17 +214,16 @@ void Search::enter(std::uint32_t idx) {
   for (ActionId a : cands_) {
     // Canonical ordering of adjacent independent actions: explore only the
     // ascending-id order of a commuting pair.
-    if (opt_.commutativity_pruning && via.valid() && a > via && independent(a, via)) continue;
+    if (via.valid() && a > via && independent(a, via)) continue;
     if (sym) {
       const model::GroundAction& act = cp_.actions[a.index()];
       if (sym_blocked(act.node, act.node2) || sym_blocked(act.node2, act.node)) {
-        ++st_.pruned_symmetry;
+        ++st_.pruned_placements;
         continue;
       }
     }
-    if (opt_.forbid_repeated_actions && std::find(tail.begin(), tail.end(), a) != tail.end()) {
-      continue;
-    }
+    // Never the same ground action twice in one tail (the RG rule).
+    if (std::find(tail.begin(), tail.end(), a) != tail.end()) continue;
     std::vector<PropId> nxt = regress(cp_, state, a);
     if (nxt == state) continue;
     const double h = bound_.estimate(nxt);
@@ -224,22 +232,18 @@ void Search::enter(std::uint32_t idx) {
     const double f = g2 + h;
     if (f > threshold_) {
       min_exceed_ = std::min(min_exceed_, f);
-      ++st_.pruned_by_bound;
       continue;
     }
-    if (has_best_ && f >= best_g_) {
-      ++st_.pruned_by_bound;
-      continue;
-    }
+    if (has_best_ && f >= best_g_) continue;
     const std::uint32_t child = static_cast<std::uint32_t>(pool_.size());
     pool_.push_back(Node{a, idx, std::move(nxt), g2});
     tail_[0] = a;
-    if (!prop_.propagate(tail_, /*from_init=*/false)) {
-      ++st_.pruned_by_propagation;
+    if (!prop_.run(tail_, /*from_init=*/false, model::ReplayMode::Optimistic)) {
+      ++st_.rg_pruned_by_replay;
       pool_.pop_back();
       continue;
     }
-    ++st_.nodes;
+    ++st_.rg_nodes;
     fr.kids.push_back({f, a, child});
   }
   std::sort(fr.kids.begin(), fr.kids.end(), [](const Child& x, const Child& y) {
@@ -247,23 +251,18 @@ void Search::enter(std::uint32_t idx) {
     return x.action < y.action;
   });
   stack_.push_back(std::move(fr));
-  if (stack_.size() > st_.peak_depth) st_.peak_depth = stack_.size();
+  if (stack_.size() > st_.rg_peak_open) st_.rg_peak_open = stack_.size();
 }
 
-Result Search::run() {
-  Result r;
+void Search::run(core::PlanResult& r) {
   Stopwatch watch;
-  tick_every_ = std::max<std::uint64_t>(1, opt_.progress_every);
 
   for (PropId gp : cp_.goal_props) {
     if (!bound_.reachable(gp)) {
       st_.logically_unreachable = true;
-      st_.proven = true;
-      st_.lower_bound = kInf;
-      st_.search_ms = watch.elapsed_ms();
-      r.stats = st_;
+      st_.time_search_ms = watch.elapsed_ms();
       r.failure = "goal " + cp_.describe(gp) + " is logically unreachable";
-      return r;
+      return;
     }
   }
 
@@ -284,7 +283,7 @@ Result Search::run() {
     pool_.clear();
     stack_.clear();
     pool_.push_back(Node{ActionId{}, 0, cp_.goal_props, 0.0});
-    ++st_.nodes;
+    ++st_.rg_nodes;
     current_f_ = root_f;
     enter(0);
 
@@ -300,10 +299,7 @@ Result Search::run() {
       const Child kid = fr.kids[fr.next++];
       // Re-check against the incumbent, which may have improved since the
       // child was generated.
-      if (has_best_ && kid.f >= best_g_) {
-        ++st_.pruned_by_bound;
-        continue;
-      }
+      if (has_best_ && kid.f >= best_g_) continue;
       current_f_ = kid.f;
       enter(kid.node);
     }
@@ -313,27 +309,24 @@ Result Search::run() {
     completed_lb_ = min_exceed_;   // optimum proven > threshold_
     threshold_ = min_exceed_;
     SEKITEI_LOG_TRACE("cp.search", "raising threshold", log::kv("threshold", threshold_),
-                      log::kv("branches", st_.branches));
+                      log::kv("branches", st_.rg_expansions));
   }
 
-  st_.propagations = prop_.calls();
-  st_.search_ms = watch.elapsed_ms();
+  st_.replay_calls = prop_.calls();
+  st_.time_search_ms = watch.elapsed_ms();
 
   if (!abort_) {
-    st_.proven = true;
+    // Search space exhausted: the answer is exact.
     if (has_best_) {
-      st_.lower_bound = best_g_;
-      r.cost = best_g_;
-      r.steps = std::move(best_steps_);
+      r.plan = core::Plan{std::move(best_steps_), best_g_};
     } else {
-      st_.lower_bound = kInf;
       r.failure = "no resource-feasible plan exists under the given levels";
     }
     SEKITEI_LOG_INFO("cp.search", r.ok() ? "optimum proven" : "infeasibility proven",
-                     log::kv("cost", r.cost), log::kv("branches", st_.branches),
-                     log::kv("nodes", st_.nodes), log::kv("ms", st_.search_ms));
-    r.stats = st_;
-    return r;
+                     log::kv("cost", r.ok() ? best_g_ : 0.0),
+                     log::kv("branches", st_.rg_expansions), log::kv("nodes", st_.rg_nodes),
+                     log::kv("ms", st_.time_search_ms));
+    return;
   }
 
   // Cut short: the min f over the unexplored frontier bounds the optimum
@@ -345,31 +338,30 @@ Result Search::run() {
       frontier = std::min(frontier, fr.kids[j].f);
     }
   }
-  st_.lower_bound = std::max(frontier, completed_lb_);
+  st_.open_cost_lb = std::max(frontier, completed_lb_);
 
   const bool anytime = opt_.anytime && opt_.stop.stop_possible();
   if (anytime && has_best_) {
     SEKITEI_LOG_INFO("cp.search", "returning anytime incumbent", log::kv("cost", best_g_),
-                     log::kv("open_lb", frontier), log::kv("branches", st_.branches));
-    r.cost = best_g_;
-    r.steps = std::move(best_steps_);
+                     log::kv("open_lb", frontier), log::kv("branches", st_.rg_expansions));
+    r.plan = core::Plan{std::move(best_steps_), best_g_};
+    st_.suboptimal_on_stop = true;
   } else {
     r.failure = st_.stopped ? "stopped before the search completed"
                             : "search limit exhausted before finding a plan";
   }
-  r.stats = st_;
-  return r;
 }
 
 }  // namespace
 
-Result solve(const model::CompiledProblem& cp, const Options& options) {
+core::PlanResult solve(const model::CompiledProblem& cp, const core::PlannerOptions& options,
+                       const core::PlanValidator& validate) {
+  core::PlanResult r;
+  r.stats.total_actions = cp.actions.size();
   Stopwatch watch;
   Bound bound(cp);
-  const double bound_ms = watch.elapsed_ms();
-  Search search(cp, options, bound);
-  Result r = search.run();
-  r.stats.bound_ms = bound_ms;
+  r.stats.time_graph_ms = watch.elapsed_ms();
+  Search(cp, options, validate, bound, r.stats).run(r);
   return r;
 }
 

@@ -5,90 +5,52 @@
 // commitment to one leveled ground action, so a complete assignment is a
 // plan tail.  The search is depth-first branch-and-bound: dive best-bound
 // first, record validated incumbents, and prune any partial assignment whose
-// g + lower bound reaches the incumbent's cost.  Constraint propagation
-// (cp::Propagator) rejects partial assignments whose interval store empties;
-// admissible bounds (cp::Bound) come from hmax plus per-component best-level
-// relaxations.
+// g + lower bound reaches the incumbent's cost.  Admissible bounds
+// (cp::Bound) come from hmax plus per-component best-level relaxations.
+//
+// Constraint propagation: a committed tail induces a constraint store —
+// every slot interval non-empty, every condition satisfiable, every produced
+// output inside its asserted level — and a partial assignment whose store
+// empties is rejected.  That store is the paper's *optimistic resource map*
+// (Section 3.2.3, Fig. 8), so propagation is the RG's Optimistic replay:
+// both backends call the one interval replay step (model/interval_replay.hpp)
+// and accept exactly the same tails at the same costs; they only search the
+// space differently.
 //
 // Symmetry breaking: the node equivalence classes attached by
 // analysis::attach_symmetry become lex-leader constraints — a fresh node of
 // a class may only be introduced if every smaller unused twin is, too
-// (identical to the RG rule, toggleable for CP-with-vs-without experiments).
+// (identical to the RG rule; PlannerOptions::symmetry_pruning toggles it for
+// CP-with-vs-without experiments).
 //
 // The regression move set, pruning rules and acceptance checks mirror the RG
-// search exactly, and propagation is the RG's own interval replay step
-// (model/interval_replay.hpp).  That is deliberate: both backends then
-// provably agree on feasibility and optimal cost while sharing no search
-// code, which is what makes CP an independent optimality oracle for the
-// fuzzer (`--oracles cp`) and a comparable competitor in bench_cp.  The
-// interval semantics themselves are checked by sim::Executor, not by CP.
+// search exactly.  That is deliberate: both backends then provably agree on
+// feasibility and optimal cost while sharing no search code — only the
+// search contract (core/contract.hpp: options, stats, progress tick) —
+// which is what makes CP an independent optimality oracle for the fuzzer
+// (`--oracles cp`) and a comparable competitor in bench_cp.  What the `cp`
+// oracle checks is therefore search optimality, not the interval semantics
+// the backends share; those are checked by the concrete simulator
+// (sim::Executor), which re-executes every candidate plan with real values.
+//
+// Stats mapping onto the contract: rg_expansions counts visited nodes (the
+// max_rg_expansions budget unit), rg_nodes created nodes, replay_calls
+// propagations, rg_pruned_by_replay propagation failures, pruned_placements
+// lex-leader cuts and rg_peak_open the deepest DFS stack; time_graph_ms is
+// the Bound construction.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <optional>
-#include <span>
-#include <string>
-#include <vector>
-
+#include "core/contract.hpp"
 #include "model/compile.hpp"
-#include "support/stop_token.hpp"
 
 namespace sekitei::cp {
 
-struct Stats {
-  std::uint64_t nodes = 0;     // search nodes created (root included)
-  std::uint64_t branches = 0;  // nodes visited (the budget unit)
-  std::uint64_t propagations = 0;
-  std::uint64_t pruned_by_bound = 0;
-  std::uint64_t pruned_by_propagation = 0;
-  std::uint64_t pruned_symmetry = 0;
-  std::uint64_t peak_depth = 0;  // deepest DFS stack
-  std::uint64_t incumbents = 0;  // incumbent improvements recorded
-  std::uint64_t sim_rejections = 0;
-  /// Cost of the best incumbent; meaningful when incumbents > 0.
-  double incumbent_cost = 0.0;
-  /// Lower bound on the optimal cost: the proven optimum when the search
-  /// completes, else the min f over the unexplored frontier at the cut.
-  double lower_bound = 0.0;
-  double bound_ms = 0.0;   // Bound construction (the "graph" phase)
-  double search_ms = 0.0;  // the DFS itself
-  bool proven = false;     // search space exhausted: the answer is exact
-  bool stopped = false;
-  bool hit_node_limit = false;
-  bool logically_unreachable = false;
-};
-
-struct Options {
-  /// Lex-leader constraints over the attached node symmetry partition.
-  /// Costs are unchanged — only which of several interchangeable twins
-  /// appears in the plan.  No-op when no partition is attached.
-  bool symmetry_breaking = true;
-  bool forbid_repeated_actions = true;
-  bool commutativity_pruning = true;
-  std::uint64_t max_nodes = 1u << 21;  // visited-node budget
-  std::uint64_t progress_every = 8192;
-  StopToken stop;
-  /// Return the best incumbent when the search is cut short (only when the
-  /// stop token can actually fire — budget-only runs stay byte-identical to
-  /// exhaustive ones, like the RG's anytime gate).
-  bool anytime = true;
-  /// Concrete acceptance check for complete assignments (the simulator
-  /// hook); a rejected assignment resumes the search.
-  std::function<bool(std::span<const ActionId>, double cost)> validate;
-  std::function<void(const Stats&)> progress;
-};
-
-struct Result {
-  std::optional<std::vector<ActionId>> steps;  // execution order
-  double cost = 0.0;
-  Stats stats;
-  std::string failure;  // human-readable reason when !steps
-
-  [[nodiscard]] bool ok() const { return steps.has_value(); }
-};
-
 /// Solves the compiled problem to cost-optimality (leveled cost_lb metric).
-[[nodiscard]] Result solve(const model::CompiledProblem& cp, const Options& options = {});
+/// Reads max_rg_expansions, symmetry_pruning, the progress cadence, stop and
+/// anytime from `options` (mode and max_slrg_sets do not apply).  A returned
+/// plan is proven optimal unless stats.suboptimal_on_stop is set.
+[[nodiscard]] core::PlanResult solve(const model::CompiledProblem& cp,
+                                     const core::PlannerOptions& options = {},
+                                     const core::PlanValidator& validate = {});
 
 }  // namespace sekitei::cp

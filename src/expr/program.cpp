@@ -76,72 +76,84 @@ Program Program::compile(const Node& ast, const SlotResolver& resolve) {
   return p;
 }
 
-double Program::eval(std::span<const double> slots) const {
+namespace {
+
+// The value domains the one interpreter below is instantiated over (one
+// operation set per domain): concrete values for the simulator and interval
+// abstractions for the optimistic resource maps.  Each supplies constant
+// lifting, min/max, the range of a table lookup and its Program entry point;
+// the arithmetic operators come from the value type itself.
+template <class T>
+struct Domain;
+
+template <>
+struct Domain<double> {
+  static double point(double c) { return c; }
+  static double min(double a, double b) { return std::min(a, b); }
+  static double max(double a, double b) { return std::max(a, b); }
+  static double table(const TableData& t, double x) { return t.eval(x); }
+  static double eval(const Program& p, std::span<const double> s) { return p.eval(s); }
+};
+
+template <>
+struct Domain<Interval> {
+  static Interval point(double c) { return Interval::point(c); }
+  static Interval min(Interval a, Interval b) { return imin(a, b); }
+  static Interval max(Interval a, Interval b) { return imax(a, b); }
+  // Exact range of a piecewise-linear function over an interval: the
+  // extrema lie at clamped endpoints or interior breakpoints.
+  static Interval table(const TableData& t, Interval in) {
+    if (in.is_empty()) return in;  // propagate empty unchanged
+    double lo = std::min(t.eval(in.lo), t.eval(in.hi == kInf ? t.xs.back() : in.hi));
+    double hi = std::max(t.eval(in.lo), t.eval(in.hi == kInf ? t.xs.back() : in.hi));
+    for (std::size_t i = 0; i < t.xs.size(); ++i) {
+      if (t.xs[i] > in.lo && t.xs[i] < in.hi) {
+        lo = std::min(lo, t.ys[i]);
+        hi = std::max(hi, t.ys[i]);
+      }
+    }
+    return {lo, hi};
+  }
+  static Interval eval(const Program& p, std::span<const Interval> s) {
+    return p.eval_interval(s);
+  }
+};
+
+}  // namespace
+
+template <class T>
+T Program::run(std::span<const T> slots) const {
+  using D = Domain<T>;
   // compile() bounded the depth, so one check covers every push below.
   SEKITEI_ASSERT(max_depth_ <= kMaxDepth);
-  double stack[kMaxDepth];
-  std::size_t sp = 0;
-  for (const Instr& ins : instrs_) {
-    switch (ins.op) {
-      case Op::PushConst: stack[sp++] = consts_[ins.arg]; break;
-      case Op::PushVar: stack[sp++] = slots[ins.arg]; break;
-      case Op::Neg: stack[sp - 1] = -stack[sp - 1]; break;
-      case Op::Add: stack[sp - 2] += stack[sp - 1]; --sp; break;
-      case Op::Sub: stack[sp - 2] -= stack[sp - 1]; --sp; break;
-      case Op::Mul: stack[sp - 2] *= stack[sp - 1]; --sp; break;
-      case Op::Div: stack[sp - 2] /= stack[sp - 1]; --sp; break;
-      case Op::Min: stack[sp - 2] = std::min(stack[sp - 2], stack[sp - 1]); --sp; break;
-      case Op::Max: stack[sp - 2] = std::max(stack[sp - 2], stack[sp - 1]); --sp; break;
-      case Op::Table: stack[sp - 1] = tables_[ins.arg].eval(stack[sp - 1]); break;
-    }
-  }
-  SEKITEI_ASSERT(sp == 1);
-  return stack[0];
-}
-
-Interval Program::eval_interval(std::span<const Interval> slots) const {
-  SEKITEI_ASSERT(max_depth_ <= kMaxDepth);
-  // Uninitialised cells: Interval's default constructor would write all
-  // kMaxDepth of them on every call, more work than a typical formula.
+  // Uninitialised cells: a default-constructed Interval stack would write
+  // all kMaxDepth cells on every call, more work than a typical formula.
   union Stack {
     Stack() {}
-    Interval cell[kMaxDepth];
+    T cell[kMaxDepth];
   } s;
-  Interval* const stack = s.cell;
+  T* const stack = s.cell;
   std::size_t sp = 0;
   for (const Instr& ins : instrs_) {
     switch (ins.op) {
-      case Op::PushConst: stack[sp++] = Interval::point(consts_[ins.arg]); break;
+      case Op::PushConst: stack[sp++] = D::point(consts_[ins.arg]); break;
       case Op::PushVar: stack[sp++] = slots[ins.arg]; break;
       case Op::Neg: stack[sp - 1] = -stack[sp - 1]; break;
       case Op::Add: stack[sp - 2] = stack[sp - 2] + stack[sp - 1]; --sp; break;
       case Op::Sub: stack[sp - 2] = stack[sp - 2] - stack[sp - 1]; --sp; break;
       case Op::Mul: stack[sp - 2] = stack[sp - 2] * stack[sp - 1]; --sp; break;
       case Op::Div: stack[sp - 2] = stack[sp - 2] / stack[sp - 1]; --sp; break;
-      case Op::Min: stack[sp - 2] = imin(stack[sp - 2], stack[sp - 1]); --sp; break;
-      case Op::Max: stack[sp - 2] = imax(stack[sp - 2], stack[sp - 1]); --sp; break;
-      case Op::Table: {
-        // Exact range of a piecewise-linear function over an interval: the
-        // extrema lie at clamped endpoints or interior breakpoints.
-        const TableData& t = tables_[ins.arg];
-        const Interval in = stack[sp - 1];
-        if (in.is_empty()) break;  // propagate empty unchanged
-        double lo = std::min(t.eval(in.lo), t.eval(in.hi == kInf ? t.xs.back() : in.hi));
-        double hi = std::max(t.eval(in.lo), t.eval(in.hi == kInf ? t.xs.back() : in.hi));
-        for (std::size_t i = 0; i < t.xs.size(); ++i) {
-          if (t.xs[i] > in.lo && t.xs[i] < in.hi) {
-            lo = std::min(lo, t.ys[i]);
-            hi = std::max(hi, t.ys[i]);
-          }
-        }
-        stack[sp - 1] = {lo, hi};
-        break;
-      }
+      case Op::Min: stack[sp - 2] = D::min(stack[sp - 2], stack[sp - 1]); --sp; break;
+      case Op::Max: stack[sp - 2] = D::max(stack[sp - 2], stack[sp - 1]); --sp; break;
+      case Op::Table: stack[sp - 1] = D::table(tables_[ins.arg], stack[sp - 1]); break;
     }
   }
   SEKITEI_ASSERT(sp == 1);
   return stack[0];
 }
+
+template double Program::run(std::span<const double>) const;
+template Interval Program::run(std::span<const Interval>) const;
 
 bool Program::is_constant() const {
   return std::none_of(instrs_.begin(), instrs_.end(),
@@ -228,22 +240,18 @@ bool CompiledCondition::certain(Interval l, Interval r) const {
   return false;
 }
 
-void CompiledEffect::apply(std::span<double> slots) const {
-  const double v = value.eval(slots);
-  switch (op) {
-    case AssignOp::Set: slots[target] = v; break;
-    case AssignOp::Add: slots[target] += v; break;
-    case AssignOp::Sub: slots[target] -= v; break;
-  }
-}
-
-void CompiledEffect::apply_interval(std::span<Interval> slots) const {
-  const Interval v = value.eval_interval(slots);
+template <class T>
+void CompiledEffect::run(std::span<T> slots) const {
+  const T v = Domain<T>::eval(value, slots);
   switch (op) {
     case AssignOp::Set: slots[target] = v; break;
     case AssignOp::Add: slots[target] = slots[target] + v; break;
     case AssignOp::Sub: slots[target] = slots[target] - v; break;
   }
 }
+
+void CompiledEffect::apply(std::span<double> slots) const { run(slots); }
+
+void CompiledEffect::apply_interval(std::span<Interval> slots) const { run(slots); }
 
 }  // namespace sekitei::expr

@@ -52,11 +52,13 @@ class Program {
   static Program compile(const Node& ast, const SlotResolver& resolve);
 
   /// Evaluates with concrete slot values.
-  [[nodiscard]] double eval(std::span<const double> slots) const;
+  [[nodiscard]] double eval(std::span<const double> slots) const { return run(slots); }
 
   /// Evaluates over intervals (exact for monotone expressions, conservative
   /// otherwise).  This is the engine behind optimistic resource maps.
-  [[nodiscard]] Interval eval_interval(std::span<const Interval> slots) const;
+  [[nodiscard]] Interval eval_interval(std::span<const Interval> slots) const {
+    return run(slots);
+  }
 
   /// True when the program reads no variables (a constant).
   [[nodiscard]] bool is_constant() const;
@@ -73,6 +75,11 @@ class Program {
   [[nodiscard]] const std::vector<Instr>& instrs() const { return instrs_; }
 
  private:
+  /// The one interpreter behind eval() and eval_interval(), over the value
+  /// domain T; program.cpp instantiates it for double and Interval.
+  template <class T>
+  [[nodiscard]] T run(std::span<const T> slots) const;
+
   std::vector<Instr> instrs_;
   std::vector<double> consts_;
   std::vector<TableData> tables_;
@@ -113,6 +120,11 @@ struct CompiledEffect {
 
   void apply(std::span<double> slots) const;
   void apply_interval(std::span<Interval> slots) const;
+
+ private:
+  /// The one implementation behind apply() and apply_interval().
+  template <class T>
+  void run(std::span<T> slots) const;
 };
 
 }  // namespace sekitei::expr

@@ -1,6 +1,6 @@
 // The interval replay step (Section 3.2.3, Fig. 8): the one implementation
 // of the optimistic resource-map semantics, shared by RG tail replay
-// (core::Replayer) and CP propagation (cp::Propagator).
+// (core::Replayer) and CP propagation (cp/search.hpp).
 //
 // "Before execution of each subsequent action in the plan tail, the interval
 //  produced by execution of the previous action is intersected with the
@@ -46,7 +46,7 @@ using ResourceMap = VarMap<Interval>;
 struct Prune {
   const char* reason = nullptr;
   const std::string* source = nullptr;
-  ActionId action;  // the step that pruned; invalid for a pre-step rejection
+  ActionId action{};  // the step that pruned; invalid for a pre-step rejection
 
   /// "<reason>" or "<reason>: <source>"; empty when nothing was pruned.
   [[nodiscard]] std::string text() const;

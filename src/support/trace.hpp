@@ -131,6 +131,12 @@ inline void instant(const char* name, const char* cat = "planner") {
 
 #else  // SEKITEI_TRACE_DISABLED: the instrumentation vanishes entirely.
 
+// The inline namespace gives these no-op variants their own linker names: a
+// disabled translation unit linked into an instrumented program must not
+// share inline definitions with it (the linker would keep one of the two,
+// e.g. run the 32-byte Span constructor on the 1-byte no-op Span).
+inline namespace disabled {
+
 class Span {
  public:
   explicit Span(const char*, const char* = "planner") {}
@@ -141,6 +147,8 @@ class Span {
 
 inline void counter(const char*, double) {}
 inline void instant(const char*, const char* = "planner") {}
+
+}  // namespace disabled
 
 #endif  // SEKITEI_TRACE_DISABLED
 

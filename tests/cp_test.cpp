@@ -228,13 +228,13 @@ TEST(CpBackend, AgreesWithRgOnSearchProvenInfeasibility) {
   const core::PlanResult rg = run_mode(inst.cp, core::PlannerOptions::Mode::Leveled);
   EXPECT_FALSE(rg.ok());
 
-  const cp::Result bnb = cp::solve(inst.cp);
+  const core::PlanResult bnb = cp::solve(inst.cp);
   EXPECT_FALSE(bnb.ok());
   // The CP run must *prove* infeasibility by exhausting the space, not
   // merely fail to find a plan.
-  EXPECT_TRUE(bnb.stats.proven);
-  EXPECT_FALSE(bnb.stats.logically_unreachable);
   EXPECT_FALSE(bnb.stats.stopped);
+  EXPECT_FALSE(bnb.stats.hit_search_limit);
+  EXPECT_FALSE(bnb.stats.logically_unreachable);
   EXPECT_NE(bnb.failure.find("no resource-feasible plan"), std::string::npos)
       << bnb.failure;
 }
@@ -246,58 +246,24 @@ TEST(CpBackend, LexLeaderPruningCutsBranchesOnSymmetricStar) {
   ASSERT_GE(inst.cp.symmetric_class_count, 1u);
 
   sim::Executor exec(inst.cp);
-  cp::Options base;
-  base.validate = [&](std::span<const ActionId> steps, double) {
-    core::Plan plan;
-    plan.steps.assign(steps.begin(), steps.end());
-    return exec.execute(plan).feasible;
-  };
+  const auto validate = [&](const core::Plan& plan) { return exec.execute(plan).feasible; };
 
-  cp::Options with = base;
-  with.symmetry_breaking = true;
-  const cp::Result pruned = cp::solve(inst.cp, with);
-
-  cp::Options without = base;
-  without.symmetry_breaking = false;
-  const cp::Result unpruned = cp::solve(inst.cp, without);
+  const core::PlanResult pruned = cp::solve(
+      inst.cp, {.mode = core::PlannerOptions::Mode::Cp, .symmetry_pruning = true}, validate);
+  const core::PlanResult unpruned = cp::solve(
+      inst.cp, {.mode = core::PlannerOptions::Mode::Cp, .symmetry_pruning = false}, validate);
 
   ASSERT_TRUE(pruned.ok()) << pruned.failure;
   ASSERT_TRUE(unpruned.ok()) << unpruned.failure;
   // Lex-leader ordering removes twin branches, never plans: strictly fewer
   // branches, identical optimal cost.
-  EXPECT_NEAR(pruned.cost, unpruned.cost, 1e-9);
-  EXPECT_LT(pruned.stats.branches, unpruned.stats.branches);
-  EXPECT_GT(pruned.stats.pruned_symmetry, 0u);
-  EXPECT_EQ(unpruned.stats.pruned_symmetry, 0u);
+  EXPECT_NEAR(pruned.plan->cost_lb, unpruned.plan->cost_lb, 1e-9);
+  EXPECT_LT(pruned.stats.rg_expansions, unpruned.stats.rg_expansions);
+  EXPECT_GT(pruned.stats.pruned_placements, 0u);
+  EXPECT_EQ(unpruned.stats.pruned_placements, 0u);
 }
 
 TEST(CpBackend, DeadlineMidSearchReturnsPartialStatsWithStopped) {
-  const std::string domain = slurp(data_file("media.sk"));
-  const Inst inst = compile_text(domain, slurp(data_file("small.sk")));
-
-  StopSource stop;
-  cp::Options opt;
-  opt.stop = stop.token();
-  opt.progress_every = 64;
-  std::uint64_t ticks = 0;
-  opt.progress = [&](const cp::Stats&) {
-    if (++ticks >= 4) stop.request_stop();
-  };
-  const cp::Result r = cp::solve(inst.cp, opt);
-
-  // small.sk needs ~500k visited nodes exhaustively; four 64-node ticks stop
-  // the search far short of that, mid-pass.
-  EXPECT_TRUE(r.stats.stopped);
-  EXPECT_FALSE(r.stats.proven);
-  EXPECT_GT(r.stats.branches, 0u);
-  EXPECT_LT(r.stats.branches, 10000u);
-  EXPECT_GT(r.stats.propagations, 0u);
-  if (!r.ok()) {
-    EXPECT_NE(r.failure.find("stopped"), std::string::npos) << r.failure;
-  }
-}
-
-TEST(CpBackend, StoppedStatsSurfaceThroughThePlannerFacade) {
   const std::string domain = slurp(data_file("media.sk"));
   const Inst inst = compile_text(domain, slurp(data_file("small.sk")));
 
@@ -310,13 +276,48 @@ TEST(CpBackend, StoppedStatsSurfaceThroughThePlannerFacade) {
   opt.progress = [&](const core::PlannerStats&) {
     if (++ticks >= 4) stop.request_stop();
   };
-  core::Sekitei planner(inst.cp, opt);
-  const core::PlanResult r = planner.plan();
+  const core::PlanResult r = cp::solve(inst.cp, opt);
 
+  // small.sk needs ~500k visited nodes exhaustively; four 64-node ticks stop
+  // the search far short of that, mid-pass.
   EXPECT_TRUE(r.stats.stopped);
+  const bool proven =
+      !r.stats.stopped && !r.stats.hit_search_limit && !r.stats.logically_unreachable;
+  EXPECT_FALSE(proven);
   EXPECT_GT(r.stats.rg_expansions, 0u);
-  if (r.ok()) {
-    EXPECT_TRUE(r.stats.suboptimal_on_stop);
+  EXPECT_LT(r.stats.rg_expansions, 10000u);
+  EXPECT_GT(r.stats.replay_calls, 0u);
+  if (!r.ok()) {
+    EXPECT_NE(r.failure.find("stopped"), std::string::npos) << r.failure;
+  }
+}
+
+TEST(CpBackend, StoppedStatsSurfaceThroughThePlannerFacade) {
+  // Both backends honour one contract: the same options, the same progress
+  // tick and the same stats.  A stop requested at the fourth 64-unit tick
+  // ends either search on exactly that tick.
+  const std::string domain = slurp(data_file("media.sk"));
+  const Inst inst = compile_text(domain, slurp(data_file("small.sk")));
+
+  for (const auto mode : {core::PlannerOptions::Mode::Leveled, core::PlannerOptions::Mode::Cp}) {
+    SCOPED_TRACE(mode == core::PlannerOptions::Mode::Cp ? "cp" : "leveled");
+    StopSource stop;
+    core::PlannerOptions opt;
+    opt.mode = mode;
+    opt.stop = stop.token();
+    opt.progress_every = 64;
+    std::uint64_t ticks = 0;
+    opt.progress = [&](const core::PlannerStats&) {
+      if (++ticks >= 4) stop.request_stop();
+    };
+    core::Sekitei planner(inst.cp, opt);
+    const core::PlanResult r = planner.plan();
+
+    EXPECT_TRUE(r.stats.stopped);
+    EXPECT_EQ(r.stats.rg_expansions, 256u);
+    if (r.ok()) {
+      EXPECT_TRUE(r.stats.suboptimal_on_stop);
+    }
   }
 }
 

@@ -321,7 +321,7 @@ TEST(RenderRequest, RepairRoundTripsThroughParse) {
 TEST(RenderRequest, PlainPlanRenderingUnchangedUnlessEchoRequested) {
   wire::WireRequest r;
   r.id = "p1";
-  r.problem_text = "p";
+  r.problem_text += 'p';
   // The pre-repair rendering, byte for byte: no echo_plan, no repair keys.
   EXPECT_EQ(wire::render_request(r),
             "{\"op\":\"plan\",\"id\":\"p1\",\"problem\":\"p\",\"deadline_ms\":0.000,"
