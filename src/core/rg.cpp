@@ -38,6 +38,24 @@ bool Rg::independent(ActionId a, ActionId b) {
   return true;
 }
 
+Rg::EdgeRange Rg::edges_of(SetId set) {
+  auto [it, inserted] = edge_ranges_.try_emplace(set);
+  if (inserted) {
+    cands_.clear();
+    for (PropId p : slrg_.sets()[set]) {
+      if (cp_.init_holds(p)) continue;
+      for (ActionId a : cp_.achievers_of(p)) {
+        if (!plrg_.relevant(a)) continue;
+        sorted_insert(cands_, a);
+      }
+    }
+    it->second = {static_cast<std::uint32_t>(edges_.size()),
+                  static_cast<std::uint32_t>(cands_.size())};
+    for (ActionId a : cands_) edges_.push_back(Edge{a, SetId{}});
+  }
+  return it->second;
+}
+
 void Rg::append_tail(std::uint32_t idx, std::vector<ActionId>& out) const {
   // Walking up from the node yields the deepest action first, which is
   // execution order.
@@ -63,16 +81,19 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set,
                                      ? ReplayMode::WorstCase
                                      : ReplayMode::Optimistic;
   Replayer replayer(cp_);
+  SetStore& sets = slrg_.sets();
   pool_.clear();
-  // Buffers reused across expansions, so the hot loop allocates only the
-  // children's proposition sets.  `tail` holds a child's tail: the child's
+  edges_.clear();
+  edge_ranges_.clear();
+  // Buffers reused across expansions, so the hot loop allocates nothing but
+  // pool and open-list growth.  `tail` holds a child's tail: the child's
   // action in tail[0], then the expanded node's tail.
   std::vector<ActionId> tail;
-  std::vector<ActionId> cands;
   std::vector<char> used;
 
-  pool_.push_back(Node{ActionId{}, 0, goal_set, 0.0});
-  open.push({slrg_.estimate(goal_set), 0.0, 0});
+  const SetId root = sets.intern(goal_set);
+  pool_.push_back(Node{ActionId{}, 0, root, 0.0});
+  open.push({slrg_.estimate(root), 0.0, 0});
   stats.rg_nodes = 1;
   stats.rg_peak_open = 1;
 
@@ -125,7 +146,7 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set,
 
     // Goal test: all propositions hold initially and the tail executes in
     // the initial-state resource map.
-    if (sorted_subset(nd.state, cp_.init_props)) {
+    if (slrg_.holds_initially(nd.state)) {
       if (replayer.replay(cur_tail, /*from_init=*/true, replay_mode)) {
         Plan plan;
         plan.steps.assign(cur_tail.begin(), cur_tail.end());
@@ -158,7 +179,7 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set,
     const bool sym = options.symmetry_pruning && cp_.symmetric_class_count > 0;
     if (sym) {
       used.assign(cp_.net->node_count(), 0);
-      for (PropId p : nd.state) used[cp_.props.key(p).node] = 1;
+      for (PropId p : sets[nd.state]) used[cp_.props.key(p).node] = 1;
       for (ActionId t : cur_tail) {
         const model::GroundAction& act = cp_.actions[t.index()];
         if (act.node.valid()) used[act.node.index()] = 1;
@@ -178,24 +199,17 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set,
     };
 
     // Candidate actions: achievers of any unsatisfied proposition.
-    cands.clear();
-    for (PropId p : nd.state) {
-      if (cp_.init_holds(p)) continue;
-      for (ActionId a : cp_.achievers_of(p)) {
-        if (!plrg_.relevant(a)) continue;
-        sorted_insert(cands, a);
-      }
-    }
-
-    for (ActionId a : cands) {
+    const EdgeRange range = edges_of(nd.state);
+    for (std::uint32_t e = range.begin; e != range.begin + range.count; ++e) {
+      const ActionId a = edges_[e].action;
       // Canonical ordering of adjacent independent actions: `a` executes
       // right before this node's action; if they commute, only explore the
       // ascending-id order.  Any plan has an equivalent canonical reordering
       // (adjacent independent swaps preserve the replay outcome exactly), so
       // completeness is kept while the factorial interleavings of parallel
       // stream chains collapse.
-      if (pool_[cur.node].action.valid()) {
-        const ActionId b = pool_[cur.node].action;
+      if (nd.action.valid()) {
+        const ActionId b = nd.action;
         if (a > b && independent(a, b)) continue;
       }
       if (sym) {
@@ -209,15 +223,19 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set,
       // finite even in pathological cost structures, and no stream-delivery
       // plan benefits from repeating an identical leveled action.
       if (std::find(cur_tail.begin(), cur_tail.end(), a) != cur_tail.end()) continue;
-      std::vector<PropId> nxt = regress_set(cp_, pool_[cur.node].state, a);
-      if (nxt == pool_[cur.node].state) continue;
+      if (!edges_[e].child.valid()) {
+        regress_into(cp_, sets[nd.state], a, next_);
+        edges_[e].child = sets.intern(next_);
+      }
+      const SetId nxt = edges_[e].child;
+      if (nxt == nd.state) continue;
       const double h = slrg_.estimate(nxt);
       if (h == kInf) continue;
 
       // Replay the extended tail in the optimistic maps (Fig. 8); prune on
       // resource failure.
       const std::uint32_t child = static_cast<std::uint32_t>(pool_.size());
-      pool_.push_back(Node{a, cur.node, std::move(nxt), cur.g + cost_[a.index()]});
+      pool_.push_back(Node{a, cur.node, nxt, cur.g + cost_[a.index()]});
       tail[0] = a;
       if (!replayer.replay(tail, /*from_init=*/false, replay_mode)) {
         ++stats.rg_pruned_by_replay;
@@ -234,7 +252,7 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set,
       // survives the initial-state replay and validation so a stop mid-proof
       // can still answer with a plan.
       if (anytime && (!incumbent.have || pool_[child].g < incumbent.g) &&
-          sorted_subset(pool_[child].state, cp_.init_props) &&
+          slrg_.holds_initially(nxt) &&
           replayer.replay(tail, /*from_init=*/true, replay_mode)) {
         bool accepted = true;
         if (validate) {

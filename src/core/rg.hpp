@@ -16,10 +16,12 @@
 #pragma once
 
 #include <optional>
+#include <unordered_map>
 
 #include "core/contract.hpp"
 #include "core/replay.hpp"
 #include "core/slrg.hpp"
+#include "support/paged_vec.hpp"
 
 namespace sekitei::core {
 
@@ -48,11 +50,26 @@ class Rg {
 
  private:
   struct Node {
-    ActionId action;            // invalid for the root
-    std::uint32_t parent = 0;   // index into pool; root points to itself
-    std::vector<PropId> state;  // propositions still to achieve
+    ActionId action;           // invalid for the root
+    std::uint32_t parent = 0;  // index into pool; root points to itself
+    SetId state;               // propositions still to achieve (interned)
     double g = 0.0;
   };
+  /// A candidate regression of an expanded set: the action and, once first
+  /// needed, the set it regresses to.
+  struct Edge {
+    ActionId action;
+    SetId child;
+  };
+  struct EdgeRange {
+    std::uint32_t begin = 0;  // index into edges_
+    std::uint32_t count = 0;
+  };
+
+  /// The candidate edges of `set` (achievers of its members that do not
+  /// hold initially), built on the set's first expansion.  Many RG nodes
+  /// share a set, so regression and interning run once per (set, action).
+  [[nodiscard]] EdgeRange edges_of(SetId set);
 
   /// Appends the tail of node `idx` to `out` in execution order (deepest
   /// action first).
@@ -66,7 +83,11 @@ class Rg {
   Slrg& slrg_;
   const Plrg& plrg_;
   std::span<const double> cost_;
-  std::vector<Node> pool_;
+  PagedVec<Node> pool_;
+  PagedVec<Edge> edges_;
+  std::unordered_map<SetId, EdgeRange> edge_ranges_;
+  std::vector<ActionId> cands_;
+  std::vector<PropId> next_;
   std::vector<std::vector<VarId>> sorted_vars_;  // per action, lazily filled
 };
 

@@ -1,36 +1,27 @@
 #include "core/slrg.hpp"
 
 #include <algorithm>
-#include <queue>
 
 #include "support/sorted_vec.hpp"
 #include "support/trace.hpp"
 
 namespace sekitei::core {
 
-std::size_t Slrg::SetHash::operator()(const std::vector<PropId>& v) const noexcept {
-  return hash_sorted(v);
-}
-
-bool action_supports_any(const model::CompiledProblem& cp, const std::vector<PropId>& set,
-                         ActionId a) {
+void regress_into(const model::CompiledProblem& cp, std::span<const PropId> set, ActionId a,
+                  std::vector<PropId>& out) {
+  // One merge pass: the members `a` does not support, united with its
+  // (sorted unique) preconditions.
+  out.clear();
+  const std::vector<PropId>& pre = cp.actions[a.index()].pre;
+  auto q = pre.begin();
   for (PropId p : set) {
     const auto& ach = cp.achievers_of(p);
-    if (std::binary_search(ach.begin(), ach.end(), a)) return true;
+    if (std::binary_search(ach.begin(), ach.end(), a)) continue;
+    while (q != pre.end() && *q < p) out.push_back(*q++);
+    if (q != pre.end() && *q == p) ++q;
+    out.push_back(p);
   }
-  return false;
-}
-
-std::vector<PropId> regress_set(const model::CompiledProblem& cp,
-                                const std::vector<PropId>& set, ActionId a) {
-  std::vector<PropId> out;
-  out.reserve(set.size() + cp.actions[a.index()].pre.size());
-  for (PropId p : set) {
-    const auto& ach = cp.achievers_of(p);
-    if (!std::binary_search(ach.begin(), ach.end(), a)) out.push_back(p);
-  }
-  for (PropId q : cp.actions[a.index()].pre) sorted_insert(out, q);
-  return out;
+  out.insert(out.end(), q, pre.end());
 }
 
 Slrg::Slrg(const model::CompiledProblem& cp, const Plrg& plrg, std::span<const double> cost,
@@ -42,34 +33,67 @@ Slrg::Slrg(const model::CompiledProblem& cp, const Plrg& plrg, std::span<const d
       symmetry_pruning_(options.symmetry_pruning),
       stop_(options.stop) {}
 
-void Slrg::harvest(std::unordered_map<std::vector<PropId>, double, SetHash>& best_g,
-                   double query_result) {
-  for (auto& [props, g] : best_g) {
-    const double bound = query_result - g;
-    if (bound <= 0 || exact_.count(props)) continue;
-    auto [it, inserted] = weak_.emplace(props, bound);
-    if (!inserted && bound > it->second) it->second = bound;
+void Slrg::cover_sets() {
+  const std::size_t n = sets_.size();
+  value_.grow_to(n, 0.0);
+  kind_.grow_to(n, 0);
+  best_g_.grow_to(n, kInf);
+}
+
+bool Slrg::holds_initially(SetId set) {
+  cover_sets();
+  std::uint8_t& k = kind_[set.index()];
+  if ((k & kInitKnown) == 0) {
+    const std::span<const PropId> props = sets_[set];
+    const bool init = std::includes(cp_.init_props.begin(), cp_.init_props.end(), props.begin(),
+                                    props.end());
+    k |= kInitKnown | (init ? kInit : 0);
+  }
+  return (k & kInit) != 0;
+}
+
+void Slrg::set_exact(SetId s, double v) {
+  kind_[s.index()] = static_cast<std::uint8_t>((kind_[s.index()] & ~kWeak) | kExact);
+  value_[s.index()] = v;
+}
+
+void Slrg::raise_weak(SetId s, double bound) {
+  std::uint8_t& k = kind_[s.index()];
+  if ((k & kWeak) == 0 || bound > value_[s.index()]) value_[s.index()] = bound;
+  k |= kWeak;
+}
+
+void Slrg::harvest(double query_result) {
+  for (const SetId s : touched_) {
+    const double bound = query_result - best_g_[s.index()];
+    if (bound <= 0 || (kind_[s.index()] & kExact) != 0) continue;
+    raise_weak(s, bound);
   }
 }
 
-double Slrg::estimate(const std::vector<PropId>& set) {
-  if (sorted_subset(set, cp_.init_props)) {
+void Slrg::end_query() {
+  for (const SetId s : touched_) best_g_[s.index()] = kInf;
+  touched_.clear();
+}
+
+double Slrg::estimate(SetId set) {
+  if (holds_initially(set)) {
     ++memo_hits_;
     return 0.0;
   }
-  if (auto it = exact_.find(set); it != exact_.end()) {
+  if ((kind_[set.index()] & kExact) != 0) {
     ++memo_hits_;
-    return it->second;
+    return value_[set.index()];
   }
-  const double base = plrg_.set_cost(set);
+  const double base = plrg_.set_cost(sets_[set]);
   if (base == kInf) {
     ++memo_misses_;
-    exact_.emplace(set, kInf);
+    set_exact(set, kInf);
     return kInf;
   }
-  if (auto it = weak_.find(set); it != weak_.end()) {
+  if ((kind_[set.index()] & kWeak) != 0) {
     ++memo_hits_;
-    return std::max(base, it->second);
+    return std::max(base, value_[set.index()]);
   }
   ++memo_misses_;
   if (generated_ >= max_sets_) {
@@ -88,63 +112,56 @@ double Slrg::estimate(const std::vector<PropId>& set) {
 
   // A* graph search from `set` toward the initial state in the resource-free
   // relaxation.  Nodes live in a pool so the optimal path can be walked for
-  // memoization afterwards.
-  struct Node {
-    std::vector<PropId> props;
-    double g = 0.0;
-    std::uint32_t parent = UINT32_MAX;
+  // memoization afterwards; best_g_ merges duplicate sets.
+  auto push_open = [&](double f, double g, std::uint32_t node) {
+    open_.push_back({f, g, node});
+    std::push_heap(open_.begin(), open_.end());
   };
-  struct Open {
-    double f;
-    double g;
-    std::uint32_t node;
-    bool operator<(const Open& o) const {
-      if (f != o.f) return f > o.f;
-      return g < o.g;  // tie-break: prefer deeper
-    }
-  };
-  std::vector<Node> pool;
-  std::priority_queue<Open> open;
-  std::unordered_map<std::vector<PropId>, double, SetHash> best_g;
-
-  pool.push_back(Node{set, 0.0, UINT32_MAX});
-  best_g.emplace(set, 0.0);
+  pool_.clear();
+  open_.clear();
+  pool_.push_back(Node{set, UINT32_MAX, 0.0});
+  best_g_[set.index()] = 0.0;
+  touched_.push_back(set);
   ++generated_;
   ++query_generated;
-  open.push({base, 0.0, 0});
+  push_open(base, 0.0, 0);
 
-  while (!open.empty()) {
-    const Open cur = open.top();
-    open.pop();
-    const std::vector<PropId> cur_props = pool[cur.node].props;  // copy: pool may grow
-    {
-      auto it = best_g.find(cur_props);
-      if (it != best_g.end() && cur.g > it->second) continue;  // stale
-    }
+  while (!open_.empty()) {
+    const Open cur = open_.front();
+    std::pop_heap(open_.begin(), open_.end());
+    open_.pop_back();
+    const SetId cur_set = pool_[cur.node].props;
+    if (cur.g > best_g_[cur_set.index()]) continue;  // stale
+    const std::span<const PropId> cur_props = sets_[cur_set];
 
     // Termination: reaching the initial state, or any set whose exact
     // logical cost is already memoized (a node with a perfect heuristic —
     // popping it makes its f-value the optimal answer).  Either way the
     // queried set and the whole optimal path become exact.
     double terminal = kInf;
-    if (sorted_subset(cur_props, cp_.init_props)) {
+    if (holds_initially(cur_set)) {
       terminal = 0.0;
-    } else if (auto it = exact_.find(cur_props); it != exact_.end() && it->second != kInf) {
-      terminal = it->second;
+    } else if ((kind_[cur_set.index()] & kExact) != 0) {
+      terminal = value_[cur_set.index()];
     }
     if (terminal != kInf) {
       const double total = cur.g + terminal;
-      exact_[set] = total;
-      for (std::uint32_t w = cur.node; w != UINT32_MAX; w = pool[w].parent) {
-        const double rest = total - pool[w].g;
-        auto [it, inserted] = exact_.emplace(pool[w].props, rest);
-        if (!inserted && rest < it->second) it->second = rest;
+      set_exact(set, total);
+      for (std::uint32_t w = cur.node; w != UINT32_MAX; w = pool_[w].parent) {
+        const double rest = total - pool_[w].g;
+        const SetId u = pool_[w].props;
+        if ((kind_[u.index()] & kExact) == 0) {
+          set_exact(u, rest);
+        } else if (rest < value_[u.index()]) {
+          value_[u.index()] = rest;
+        }
       }
       // Harvest admissible lower bounds for every set this query touched:
       // any completion of U costs at least total - g(U) (A* invariant), so
       // later queries start from a much better heuristic.  This is what
       // makes the oracle amortize across the RG's many estimate() calls.
-      harvest(best_g, total);
+      harvest(total);
+      end_query();
       return total;
     }
 
@@ -153,29 +170,28 @@ double Slrg::estimate(const std::vector<PropId>& set) {
     // state (pinned nodes are singletons), so the canonical branch achieves
     // the same minimal logical cost — estimates stay exact.
     const bool sym = symmetry_pruning_ && cp_.symmetric_class_count > 0;
-    std::vector<char> used;
     if (sym) {
-      used.assign(cp_.net->node_count(), 0);
-      for (PropId p : cur_props) used[cp_.props.key(p).node] = 1;
+      used_.assign(cp_.net->node_count(), 0);
+      for (PropId p : cur_props) used_[cp_.props.key(p).node] = 1;
     }
     auto sym_blocked = [&](NodeId n, NodeId other) {
-      if (!n.valid() || used[n.index()] != 0) return false;
+      if (!n.valid() || used_[n.index()] != 0) return false;
       for (const std::uint32_t m : cp_.node_class_members[cp_.node_class[n.index()]]) {
         if (m >= n.index()) break;
-        if (used[m] == 0 && (!other.valid() || m != other.index())) return true;
+        if (used_[m] == 0 && (!other.valid() || m != other.index())) return true;
       }
       return false;
     };
 
-    std::vector<ActionId> cands;
+    cands_.clear();
     for (PropId p : cur_props) {
       if (cp_.init_holds(p)) continue;
       for (ActionId a : cp_.achievers_of(p)) {
         if (!plrg_.relevant(a)) continue;
-        sorted_insert(cands, a);
+        sorted_insert(cands_, a);
       }
     }
-    for (ActionId a : cands) {
+    for (ActionId a : cands_) {
       if (sym) {
         const model::GroundAction& act = cp_.actions[a.index()];
         if (sym_blocked(act.node, act.node2) || sym_blocked(act.node2, act.node)) {
@@ -183,19 +199,22 @@ double Slrg::estimate(const std::vector<PropId>& set) {
           continue;
         }
       }
-      std::vector<PropId> nxt = regress_set(cp_, cur_props, a);
-      if (nxt == cur_props) continue;
+      regress_into(cp_, cur_props, a, next_);
+      if (std::equal(next_.begin(), next_.end(), cur_props.begin(), cur_props.end())) continue;
       const double g = cur.g + cost_[a.index()];
+      // Only a set some node already holds can carry cached data; the
+      // candidate is interned below, once it becomes a node itself.
+      const SetId known = sets_.find(next_);
+      const std::uint8_t kind = known.valid() ? kind_[known.index()] : 0;
       double h;
-      if (auto it = exact_.find(nxt); it != exact_.end()) {
-        h = it->second;  // reuse earlier oracle results
+      if ((kind & kExact) != 0) {
+        h = value_[known.index()];  // reuse earlier oracle results
       } else {
-        h = plrg_.set_cost(nxt);
-        if (auto wt = weak_.find(nxt); wt != weak_.end()) h = std::max(h, wt->second);
+        h = plrg_.set_cost(next_);
+        if ((kind & kWeak) != 0) h = std::max(h, value_[known.index()]);
       }
       if (h == kInf) continue;
-      auto it = best_g.find(nxt);
-      if (it != best_g.end() && it->second <= g) continue;
+      if (known.valid() && best_g_[known.index()] <= g) continue;
       // Budget exhaustion and cooperative stop share one exit: both return
       // the admissible frontier bound.  The stop poll rides the same cadence
       // as the trace counter sampling so the hot loop pays nothing extra.
@@ -207,26 +226,33 @@ double Slrg::estimate(const std::vector<PropId>& set) {
         if (budget_out) hit_limit_ = true;
         // Any solution either extends the node being expanded (cost >= its
         // f) or passes through the open list (cost >= min open f).
-        const double frontier = open.empty() ? cur.f : std::min(cur.f, open.top().f);
+        const double frontier = open_.empty() ? cur.f : std::min(cur.f, open_.front().f);
         const double bound = std::max(base, frontier);
-        auto [it2, ins2] = weak_.emplace(set, bound);
-        if (!ins2 && bound > it2->second) it2->second = bound;
-        harvest(best_g, bound);
+        raise_weak(set, bound);
+        harvest(bound);
+        end_query();
         return bound;
       }
-      best_g[nxt] = g;
-      const std::uint32_t idx = static_cast<std::uint32_t>(pool.size());
-      pool.push_back(Node{std::move(nxt), g, cur.node});
+      SetId nid = known;
+      if (!nid.valid()) {
+        nid = sets_.intern(next_);
+        cover_sets();
+      }
+      if (best_g_[nid.index()] == kInf) touched_.push_back(nid);
+      best_g_[nid.index()] = g;
+      const std::uint32_t idx = static_cast<std::uint32_t>(pool_.size());
+      pool_.push_back(Node{nid, cur.node, g});
       ++generated_;
       ++query_generated;
       // Sampled, not per-node: counter events are for trend lines, and the
       // sampling keeps the trace file (and the no-collector cost) small.
       if ((generated_ & 0x3ffu) == 0) trace::counter("slrg.sets", static_cast<double>(generated_));
-      open.push({g + h, g, idx});
+      push_open(g + h, g, idx);
     }
   }
   // Exhausted without reaching the initial state: logically impossible.
-  exact_[set] = kInf;
+  set_exact(set, kInf);
+  end_query();
   return kInf;
 }
 

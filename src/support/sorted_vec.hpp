@@ -7,7 +7,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cstddef>
 #include <vector>
 
 namespace sekitei {
@@ -65,17 +64,6 @@ template <class T>
     }
   }
   return false;
-}
-
-/// FNV-1a style hash of a sorted id vector (for set memo tables).
-template <class T>
-[[nodiscard]] std::size_t hash_sorted(const std::vector<T>& xs) {
-  std::size_t h = 1469598103934665603ULL;
-  for (const auto& x : xs) {
-    h ^= static_cast<std::size_t>(x.value);
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 }  // namespace sekitei

@@ -292,9 +292,10 @@ TEST(Server, SigtermDrainAnswersInFlightAndRejectsNew) {
   const std::string slow = slurp(data_file("small.sk"));
 
   FrameClient client(daemon.port());
-  // Four pipelined solves on two workers keep the session in-flight well
-  // past the moment the late request lands below.
-  constexpr int kInflight = 4;
+  // Twelve pipelined solves on two workers keep the session in-flight well
+  // past the moment the late request lands below, even when a loaded
+  // machine stretches the sleeps.
+  constexpr int kInflight = 12;
   for (int i = 0; i < kInflight; ++i) {
     ASSERT_TRUE(client.send(plan_request("inflight" + std::to_string(i), slow)));
   }

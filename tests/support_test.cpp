@@ -113,14 +113,6 @@ TEST(SortedVec, SetAlgebra) {
   EXPECT_TRUE(std::is_sorted(uni.begin(), uni.end()));
 }
 
-TEST(SortedVec, HashDiscriminates) {
-  const std::vector<PropId> a{PropId(1), PropId(2)};
-  const std::vector<PropId> b{PropId(1), PropId(3)};
-  const std::vector<PropId> a2{PropId(1), PropId(2)};
-  EXPECT_EQ(hash_sorted(a), hash_sorted(a2));
-  EXPECT_NE(hash_sorted(a), hash_sorted(b));  // near-certain for FNV
-}
-
 TEST(SortedVec, EmptyEdgeCases) {
   const std::vector<PropId> e;
   const std::vector<PropId> a{PropId(1)};
